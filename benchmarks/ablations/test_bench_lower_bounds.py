@@ -6,7 +6,7 @@ each stage contributes.
 """
 
 from repro.datasets.gestures import gesture_dataset
-from repro.lowerbounds.cascade import LowerBoundCascade
+from repro.lowerbounds.cascade import CascadeBatch
 from repro.search.nn_search import nearest_neighbor
 
 
@@ -40,11 +40,14 @@ class TestLowerBoundAblation:
         band = 13  # ceil(0.10 * 128)
 
         def search():
-            cascade = LowerBoundCascade(query, band, use_reversed=False)
-            return cascade.nearest(candidates)
+            cascade = CascadeBatch(
+                candidates, band, use_reversed=False, use_improved=False,
+                best_first=False,
+            )
+            return cascade.nearest(query)
 
-        idx, dist = benchmark(search)
-        assert dist >= 0
+        hit = benchmark(search)
+        assert hit.distance >= 0
 
     def test_stage_contributions_report(self, benchmark, save_report):
         query, candidates = _workload()

@@ -26,7 +26,7 @@ from math import inf
 from typing import List, Optional, Sequence
 
 from ..core.validate import validate_series
-from ..lowerbounds.cascade import LowerBoundCascade
+from ..lowerbounds.cascade import CascadeBatch
 from ..preprocess.normalize import znorm, znorm_nd
 from ..preprocess.sliding import sliding_windows
 from ..runtime import Runtime
@@ -180,28 +180,24 @@ def find_discord(
                 best_idx = i
                 best_neighbor = nn_idx
     else:
-        searcher = (
-            index.searcher(runtime=rt) if index is not None else None
+        # the index serves stored envelopes and adds LB_Improved;
+        # without one, every window's envelope is built once and kept
+        cascade = (
+            index.searcher(runtime=rt) if index is not None
+            else CascadeBatch(
+                series, band, use_improved=False, best_first=False,
+                runtime=rt,
+            )
         )
         for i in range(k):
-            if searcher is not None:
-                scan = searcher.scan(series[i], query_index=i)
-                distance_to = scan.distance
-            else:
-                scan = None
-                cascade = LowerBoundCascade(series[i], band, runtime=rt)
-                distance_to = (
-                    lambda j, bound, _c=cascade:
-                    _c.distance(series[j], best_so_far=bound)
-                )
             nn = inf
             nn_idx = -1
-            try:
+            with cascade.scan(series[i], query_index=i) as scan:
                 for j in range(k):
                     if abs(starts[i] - starts[j]) < exclusion:
                         continue
                     calls += 1
-                    d = distance_to(j, nn)
+                    d = scan.distance(j, nn)
                     if d < nn:
                         nn, nn_idx = d, j
                     if nn < best_score:
@@ -215,9 +211,6 @@ def find_discord(
                         best_score = nn
                         best_idx = i
                         best_neighbor = nn_idx
-            finally:
-                if scan is not None:
-                    scan.close()
 
     if best_idx < 0:
         raise ValueError("no discord found (no valid neighbour pairs)")

@@ -242,7 +242,7 @@ class _WorkerContext:
 
     def np_artifacts(self) -> "_NpArtifacts":
         if self._np is None:
-            self._np = _NpArtifacts(self)
+            self._np = _NpArtifacts(self.cache, self.spec, self.arrays)
         return self._np
 
 
@@ -264,12 +264,17 @@ class _NpArtifacts:
       count are *padding*: initialised to NaN on purpose, so the
       chunk kernels' ``count=`` contract (padding is never read) is
       exercised on every production call, not only in tests.
+
+    It holds what it reads from its context, never the context itself:
+    no reference cycle, so dropping an evicted context frees its
+    zero-copy shm views at once and the dataset's mapping can close.
     """
 
-    __slots__ = ("_ctx", "_series", "_env", "_scratch")
+    __slots__ = ("_cache", "_spec", "_arrays", "_series", "_env",
+                 "_scratch")
 
-    def __init__(self, ctx: _WorkerContext):
-        self._ctx = ctx
+    def __init__(self, cache: SeriesCache, spec, arrays):
+        self._cache, self._spec, self._arrays = cache, spec, arrays
         self._series: dict = {}
         self._env: dict = {}
         self._scratch: dict = {}
@@ -279,15 +284,14 @@ class _NpArtifacts:
         if arr is None:
             from ..core.numpy_backend import _as_series, _as_series_nd
 
-            ctx = self._ctx
-            if ctx.spec is not None and ctx.spec.normalize:
-                raw = ctx.cache.normalized(i)
-            elif ctx.arrays is not None:
-                raw = ctx.arrays[i]
+            if self._spec is not None and self._spec.normalize:
+                raw = self._cache.normalized(i)
+            elif self._arrays is not None:
+                raw = self._arrays[i]
             else:
-                raw = ctx.cache.raw(i)
+                raw = self._cache.raw(i)
             convert = (
-                _as_series if ctx.cache.dims is None else _as_series_nd
+                _as_series if self._cache.dims is None else _as_series_nd
             )
             arr = self._series[i] = convert(raw, str(i))
         return arr
@@ -296,7 +300,7 @@ class _NpArtifacts:
         # the SeriesCache call stays per request, so envelope hit/miss
         # accounting is identical to the per-pair path; only the
         # list-to-array conversion is memoized on top
-        env = self._ctx.cache.envelope(i, band)
+        env = self._cache.envelope(i, band)
         pair = self._env.get((i, band))
         if pair is None:
             import numpy as np
@@ -327,7 +331,7 @@ class _NpArtifacts:
         kernels must never read.  Multivariate contexts stack
         ``(count, width, dims)`` instead of ``(count, width)``.
         """
-        dims = self._ctx.cache.dims
+        dims = self._cache.dims
         shape = (width,) if dims is None else (width, dims)
         buf = self._scratch_for(role, shape, len(indices))
         for t, idx in enumerate(indices):

@@ -30,9 +30,9 @@ from ..core.euclidean import euclidean
 from ..core.fastdtw import fastdtw
 from ..core.fastdtw_reference import fastdtw_reference
 from ..core.measures import MEASURES
+from ..lowerbounds.cascade import CascadeBatch
 from ..obs import trace as _obs
-from ..runtime import Runtime, _resolve_legacy
-from ..search.nn_search import nearest_neighbor
+from ..runtime import Runtime
 
 _FASTDTW_MEASURES = ("fastdtw", "fastdtw_reference")
 _BANDED_MEASURES = ("cdtw", "rle_cdtw", "cdtw_d", "cdtw_i")
@@ -135,10 +135,9 @@ class OneNearestNeighbor:
         amortise across calls).  ``spec.backend`` overrides the
         runtime's backend when set.  The ``use_lower_bounds`` cascade
         is inherently sequential (its pruning threads a best-so-far
-        through the scan) and always runs serially.
-    workers, executor:
-        Deprecated per-knob overrides of the corresponding ``runtime``
-        fields (each emits a :class:`DeprecationWarning`).
+        through the scan) and always runs serially; :meth:`fit` builds
+        it once over the training set, so candidate envelopes built
+        for one query serve every later one.
     index:
         Optional ahead-of-time index of the training set (built by
         ``repro.index`` over exactly the series later passed to
@@ -157,16 +156,13 @@ class OneNearestNeighbor:
     explicitly supplied).
     """
 
-    def __init__(self, spec: DistanceSpec, workers: Optional[int] = None,
-                 executor=None, runtime: Optional[Runtime] = None,
+    def __init__(self, spec: DistanceSpec, runtime: Optional[Runtime] = None,
                  index=None):
-        rt = _resolve_legacy(
-            type(self).__name__, runtime, workers=workers,
-            executor=executor,
-        )
-        if index is not None and not (
+        rt = Runtime.resolve(runtime)
+        self._cascaded = (
             spec.measure in ("cdtw", "cdtw_d") and spec.use_lower_bounds
-        ):
+        )
+        if index is not None and not self._cascaded:
             raise ValueError(
                 "index= requires measure='cdtw' (or 'cdtw_d') with "
                 "use_lower_bounds=True (the index serves the "
@@ -179,7 +175,7 @@ class OneNearestNeighbor:
         self._train: List[List[float]] = []
         self._labels: List[object] = []
         self._index = index
-        self._searcher = None
+        self._cascade = None
         self.cells_evaluated = 0
 
     def fit(
@@ -190,20 +186,31 @@ class OneNearestNeighbor:
             raise ValueError("series and labels must have equal length")
         if not series:
             raise ValueError("training set is empty")
-        if self._index is not None:
+        self._train = [list(s) for s in series]
+        self._labels = list(labels)
+        self._cascade = None
+        if self._cascaded:
             from math import ceil
 
             n = len(series[0])
-            self._index.require(
-                kind="collection", count=len(series), length=n,
-                band=ceil(self.spec.window * n), normalize=False,
-            )
-            self._index.verify_collection(series)
-            self._searcher = self._index.searcher(
-                runtime=self.runtime, share_exact=True,
-            )
-        self._train = [list(s) for s in series]
-        self._labels = list(labels)
+            band = ceil(self.spec.window * n)
+            # the index serves stored envelopes to a best-first scan
+            # with LB_Improved and a shared exact-distance cache;
+            # without one, the in-order scan
+            if self._index is not None:
+                self._index.require(
+                    kind="collection", count=len(series), length=n,
+                    band=band, normalize=False,
+                )
+                self._index.verify_collection(series)
+                self._cascade = self._index.searcher(
+                    runtime=self.runtime, share_exact=True,
+                )
+            else:
+                self._cascade = CascadeBatch(
+                    self._train, band, use_improved=False,
+                    best_first=False, runtime=self.runtime,
+                )
         return self
 
     def predict_one(self, query: Sequence[float], exclude: Optional[int] = None):
@@ -213,12 +220,8 @@ class OneNearestNeighbor:
         """
         if not self._train:
             raise ValueError("classifier is not fitted")
-        if self._searcher is not None:
-            _obs.incr("knn.predictions")
-            with _obs.span("knn"):
-                idx, cells = self._nearest_indexed(query, exclude)
-            self.cells_evaluated += cells
-            return self._labels[idx]
+        if self._cascade is not None:
+            return self._predict_cascaded(query, exclude)
         indices = [
             i for i in range(len(self._train)) if i != exclude
         ]
@@ -258,37 +261,32 @@ class OneNearestNeighbor:
     # -- internal ---------------------------------------------------------
 
     def _use_batch_engine(self) -> bool:
-        return self.runtime.parallel and not (
-            self.spec.measure in ("cdtw", "cdtw_d")
-            and self.spec.use_lower_bounds
-        )
+        return self.runtime.parallel and not self._cascaded
 
-    def _nearest_indexed(self, query, exclude):
-        """(train index, cells) of the nearest series via the index.
+    def _predict_cascaded(self, query, exclude):
+        """Label of the nearest training series via the cascade.
 
-        Exclusion happens *inside* the indexed scan, so no candidate
-        subset is materialised and the winner's index addresses the
-        training set directly.  When the query provably *is* the
-        excluded training series (leave-one-out), its stored envelope
-        is reused and its exact distances feed the shared cache --
-        both lossless, see :mod:`repro.lowerbounds.cascade`.
+        Exclusion happens *inside* the scan, so no candidate subset is
+        materialised and the winner's index addresses the training set
+        directly.  When the query *is* the excluded training series
+        (leave-one-out), its envelope is the stored one and, indexed,
+        its exact distances feed the shared cache -- both lossless,
+        see :mod:`repro.lowerbounds.cascade`.
         """
         if len(self._train) < 2 and exclude is not None:
             raise ValueError("no training candidates after exclusion")
-        query_index = None
-        if exclude is not None:
-            # index rows are flat sample-major floats; flatten a
-            # multivariate query the same way before comparing
-            if query and hasattr(query[0], "__len__"):
-                probe = [float(c) for v in query for c in v]
-            else:
-                probe = [float(v) for v in query]
-            if probe == list(self._index.series[exclude]):
-                query_index = exclude
-        hit = self._searcher.nearest(
-            query, exclude=exclude, query_index=query_index,
+        member = (
+            exclude
+            if exclude is not None and list(query) == self._train[exclude]
+            else None
         )
-        return hit.index, hit.stats.cells
+        _obs.incr("knn.predictions")
+        with _obs.span("knn"):
+            hit = self._cascade.nearest(
+                query, query_index=member, exclude=exclude,
+            )
+        self.cells_evaluated += hit.stats.cells
+        return self._labels[hit.index]
 
     def _nearest(self, query, candidates):
         if self._use_batch_engine():
@@ -338,19 +336,14 @@ class KNearestNeighbors:
     ``use_lower_bounds`` is therefore ignored for ``k > 1``.  The
     full scans parallelise cleanly: pass a parallel ``runtime=``
     (workers and/or a persistent executor for a warm pool across
-    queries).  ``workers=``/``executor=`` remain as deprecated
-    per-knob overrides.
+    queries).
     """
 
     def __init__(self, spec: DistanceSpec, k: int = 3,
-                 workers: Optional[int] = None, executor=None,
                  runtime: Optional[Runtime] = None):
         if k < 1:
             raise ValueError("k must be positive")
-        rt = _resolve_legacy(
-            type(self).__name__, runtime, workers=workers,
-            executor=executor,
-        )
+        rt = Runtime.resolve(runtime)
         self.spec = spec
         self.k = k
         self.runtime = rt.with_backend(spec.backend)
@@ -504,13 +497,8 @@ def _nearest_batched(spec: DistanceSpec, query, candidates, rt: Runtime):
 
 
 def _nearest_impl(spec: DistanceSpec, query, candidates, rt: Runtime):
-    """Index, distance and DP cells of the nearest candidate."""
-    if spec.measure in ("cdtw", "cdtw_d") and spec.use_lower_bounds:
-        res = nearest_neighbor(
-            query, candidates, strategy="cdtw+lb", window=spec.window,
-            runtime=rt.with_backend(spec.backend),
-        )
-        return res.index, res.distance, res.cells
+    """Index, distance and DP cells of the nearest candidate (every
+    spec but the cascaded ``use_lower_bounds`` ones)."""
     kernel_fn = _kernel_fn(spec, rt)
     best_idx, best, cells = 0, inf, 0
     for i, cand in enumerate(candidates):

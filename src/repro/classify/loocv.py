@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..runtime import Runtime, _resolve_legacy
+from ..runtime import Runtime
 from .knn import DistanceSpec, OneNearestNeighbor
 
 
@@ -21,8 +21,6 @@ def loocv_error(
     series: Sequence[Sequence[float]],
     labels: Sequence[object],
     spec: DistanceSpec,
-    workers: Optional[int] = None,
-    executor=None,
     runtime: Optional[Runtime] = None,
     index=None,
 ) -> float:
@@ -36,8 +34,6 @@ def loocv_error(
     pool -- LOOCV issues one scan per series over the same dataset,
     the textbook repeated-use shape, so a shared executor amortises
     pool startup and dataset shipping across all of them.
-    ``workers=``/``executor=`` are deprecated per-knob overrides of
-    the corresponding runtime fields.
 
     ``index`` accepts an ahead-of-time index of ``series`` (see
     :class:`~repro.classify.knn.OneNearestNeighbor`); LOOCV is the
@@ -46,9 +42,7 @@ def loocv_error(
     exact-distance cache feeds later queries' thresholds.  The error
     is identical with or without it.
     """
-    rt = _resolve_legacy(
-        "loocv_error", runtime, workers=workers, executor=executor
-    )
+    rt = Runtime.resolve(runtime)
     if len(series) != len(labels):
         raise ValueError("series and labels must have equal length")
     if len(series) < 2:
@@ -81,8 +75,6 @@ def best_window_search(
     labels: Sequence[object],
     windows: Sequence[float] = tuple(w / 100 for w in range(0, 21)),
     use_lower_bounds: bool = True,
-    workers: Optional[int] = None,
-    executor=None,
     runtime: Optional[Runtime] = None,
 ) -> WindowSearchResult:
     """Brute-force the LOOCV-optimal cDTW window.
@@ -103,18 +95,12 @@ def best_window_search(
         runtime carrying a persistent executor ships the dataset once
         for the whole search; parallelism is ignored when
         ``use_lower_bounds`` forces the serial cascade.
-    workers, executor:
-        Deprecated per-knob overrides of the corresponding ``runtime``
-        fields (each emits a :class:`DeprecationWarning`).
 
     Returns
     -------
     WindowSearchResult
     """
-    rt = _resolve_legacy(
-        "best_window_search", runtime, workers=workers,
-        executor=executor,
-    )
+    rt = Runtime.resolve(runtime)
     if not windows:
         raise ValueError("no candidate windows")
     errors: List[Tuple[float, float]] = []

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.cdtw import cdtw
 from ..core.dtw import dtw
 from ..core.validate import validate_series
-from ..runtime import Runtime, _resolve_legacy
+from ..runtime import Runtime
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ def dba(
     tolerance: float = 1e-6,
     band: Optional[int] = None,
     initial: Optional[Sequence[float]] = None,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    executor=None,
     runtime: Optional[Runtime] = None,
 ) -> DbaResult:
     """Compute a DTW barycenter of equal-length series.
@@ -87,9 +84,6 @@ def dba(
         barycenter is too.  A runtime carrying a persistent executor
         re-ships the dataset each round (the barycenter moves), but
         the warm pool amortises across all rounds.
-    workers, backend, executor:
-        Deprecated per-knob overrides of the corresponding ``runtime``
-        fields (each emits a :class:`DeprecationWarning`).
 
     Returns
     -------
@@ -97,10 +91,7 @@ def dba(
         The barycenter has the common input length; the inertia is
         non-increasing across iterations by construction.
     """
-    rt = _resolve_legacy(
-        "dba", runtime, workers=workers, backend=backend,
-        executor=executor,
-    )
+    rt = Runtime.resolve(runtime)
     if not series:
         raise ValueError("need at least one series")
     lists = [list(s) for s in series]

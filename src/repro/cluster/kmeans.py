@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.cdtw import cdtw
 from ..core.dtw import dtw
 from ..core.validate import validate_series
-from ..runtime import Runtime, _resolve_legacy
+from ..runtime import Runtime
 from .dba import dba
 
 
@@ -53,9 +53,6 @@ def dtw_kmeans(
     max_iterations: int = 10,
     dba_iterations: int = 3,
     seed: int = 0,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    executor=None,
     runtime: Optional[Runtime] = None,
 ) -> KMeansResult:
     """Cluster equal-length series into ``k`` groups under DTW.
@@ -85,19 +82,13 @@ def dtw_kmeans(
         preserves the serial tie-breaks.  A runtime carrying a
         persistent executor shares one warm pool across the whole
         clustering run.
-    workers, backend, executor:
-        Deprecated per-knob overrides of the corresponding ``runtime``
-        fields (each emits a :class:`DeprecationWarning`).
 
     Returns
     -------
     KMeansResult
         Deterministic for a given seed.
     """
-    rt = _resolve_legacy(
-        "dtw_kmeans", runtime, workers=workers, backend=backend,
-        executor=executor,
-    )
+    rt = Runtime.resolve(runtime)
     lists = [list(s) for s in series]
     for i, s in enumerate(lists):
         validate_series(s, f"series {i}")

@@ -119,9 +119,6 @@ def linkage_from_series(
     band: Optional[int] = None,
     radius: int = 1,
     cost: str = "squared",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    executor=None,
     runtime=None,
 ) -> List[Merge]:
     """Cluster raw series: batched all-pairs matrix, then linkage.
@@ -132,19 +129,13 @@ def linkage_from_series(
     :class:`repro.runtime.Runtime` -- ``None`` = the process default)
     and :func:`linkage`.  The merge structure is identical for any
     execution context -- worker count, executor, kernel backend --
-    since the matrix is.  ``workers=``/``backend=``/``executor=`` are
-    deprecated per-knob overrides of the corresponding runtime fields.
+    since the matrix is.
     """
     from ..core.matrix import distance_matrix
-    from ..runtime import _resolve_legacy
 
-    rt = _resolve_legacy(
-        "linkage_from_series", runtime, workers=workers,
-        backend=backend, executor=executor,
-    )
     matrix = distance_matrix(
         series, measure=measure, window=window, band=band,
-        radius=radius, cost=cost, runtime=rt,
+        radius=radius, cost=cost, runtime=runtime,
     )
     return linkage(matrix.as_lists(), method=method)
 

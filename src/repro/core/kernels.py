@@ -14,9 +14,9 @@ their compute kernels without knowing who provides them:
 * ``backend="numpy"`` -- the vectorised kernels of
   :mod:`repro.core.numpy_backend`.  DTW distances, cells, paths and
   abandon decisions are bit-identical to the pure engine (enforced by
-  ``tests/core/test_numpy_parity.py``); the batched lower bounds may
-  differ from the scalar ones in final ulps (they are bounds, not
-  distances) while remaining valid.
+  ``tests/core/test_numpy_parity.py``), and so are the lower bounds:
+  the chunk kernels sum gap costs in the scalar implementations'
+  sequential order.
 
 Consumers resolve a backend *per call* (``backend=`` keyword, with
 ``None`` meaning "the process default") and fetch a
@@ -69,13 +69,6 @@ class KernelSet:
     lb_kim:
         ``lb_kim(query, candidates, cost="squared", tiers=2)`` ->
         per-candidate bounds (sequence-like of floats).
-    lb_keogh:
-        ``lb_keogh(query_envelope, candidates, squared=True,
-        abandon_above=None)`` -> per-candidate bounds.
-    lb_keogh_reversed:
-        ``lb_keogh_reversed(query, candidates, band, squared=True,
-        abandon_above=None)`` -> per-candidate bounds (envelopes built
-        over the candidates).
     suffix_gap_bounds:
         ``suffix_gap_bounds(x, y_envelope, squared=True)`` -> per-row
         suffix bounds for cumulative early abandoning.
@@ -93,9 +86,10 @@ class KernelSet:
         ``lb_keogh_chunk(upper, lower, candidates, squared=True,
         abandon_above=None, count=None)`` -> per-candidate bounds,
         each bit-identical to the scalar
-        :func:`repro.lowerbounds.lb_keogh.lb_keogh` (unlike
-        ``lb_keogh``, whose batched reduction may differ in final
-        ulps).  Envelopes may be shared (1-D) or stacked per row.
+        :func:`repro.lowerbounds.lb_keogh.lb_keogh` (values and
+        abandon decisions).  Envelopes may be shared (1-D) or stacked
+        per row; the reversed bound is this kernel scored with the
+        query against a candidate's envelope.
     rle_block:
         ``rle_block(T, L, c, h, w) -> (B, R)`` -- bottom row and
         right column of one constant-cost RLE-DTW block from its
@@ -138,8 +132,6 @@ class KernelSet:
     dtw: Callable
     envelope: Callable
     lb_kim: Callable
-    lb_keogh: Callable
-    lb_keogh_reversed: Callable
     suffix_gap_bounds: Callable
     dtw_chunk: Callable
     envelope_chunk: Callable
@@ -154,7 +146,6 @@ class KernelSet:
 
 def _build_python() -> KernelSet:
     from ..lowerbounds.envelope import envelope
-    from ..lowerbounds.lb_keogh import lb_keogh, lb_keogh_reversed
     from ..lowerbounds.lb_kim import lb_kim
     from ..search.cumulative import suffix_gap_bounds
     from .engine import dp_over_window
@@ -162,18 +153,6 @@ def _build_python() -> KernelSet:
 
     def lb_kim_each(query, candidates, cost="squared", tiers=2):
         return [lb_kim(query, c, cost=cost, tiers=tiers)
-                for c in candidates]
-
-    def lb_keogh_each(query_envelope, candidates, squared=True,
-                      abandon_above=None):
-        return [lb_keogh(query_envelope, c, squared=squared,
-                         abandon_above=abandon_above)
-                for c in candidates]
-
-    def lb_keogh_reversed_each(query, candidates, band, squared=True,
-                               abandon_above=None):
-        return [lb_keogh_reversed(query, c, band, squared=squared,
-                                  abandon_above=abandon_above)
                 for c in candidates]
 
     def _real_rows(stack, count):
@@ -318,8 +297,6 @@ def _build_python() -> KernelSet:
         dtw=dp_over_window,
         envelope=envelope,
         lb_kim=lb_kim_each,
-        lb_keogh=lb_keogh_each,
-        lb_keogh_reversed=lb_keogh_reversed_each,
         suffix_gap_bounds=suffix_gap_bounds,
         dtw_chunk=dtw_chunk_each,
         envelope_chunk=envelope_chunk_each,
@@ -401,8 +378,6 @@ def _build_numpy() -> KernelSet:
         dtw=dtw,
         envelope=nb.envelope_numpy,
         lb_kim=nb.lb_kim_batch,
-        lb_keogh=nb.lb_keogh_batch,
-        lb_keogh_reversed=nb.lb_keogh_reversed_batch,
         suffix_gap_bounds=nb.suffix_gap_bounds_numpy,
         dtw_chunk=dtw_chunk,
         envelope_chunk=nb.envelope_chunk,

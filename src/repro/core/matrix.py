@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..runtime import Runtime, _resolve_legacy
+from ..runtime import Runtime
 from .cost import CostLike
 from .measures import MEASURES, validate_measure
 
@@ -74,9 +74,6 @@ def distance_matrix(
     radius: int = 1,
     cost: CostLike = "squared",
     runtime: Optional[Runtime] = None,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    executor=None,
 ) -> DistanceMatrix:
     """Compute the all-pairs matrix under one measure.
 
@@ -99,18 +96,12 @@ def distance_matrix(
         = the process default; built-in default is the in-process
         serial computation).  Results are identical for every
         context; only the wall-clock changes.
-    workers, backend, executor:
-        Deprecated per-knob overrides of the corresponding ``runtime``
-        fields; passing any emits a :class:`DeprecationWarning`.
 
     Returns
     -------
     DistanceMatrix
     """
-    rt = _resolve_legacy(
-        "distance_matrix", runtime, workers=workers, backend=backend,
-        executor=executor,
-    )
+    rt = Runtime.resolve(runtime)
     validate_measure(measure)
     if len(series) < 2:
         raise ValueError("need at least two series")

@@ -68,9 +68,7 @@ __all__ = [
     "pairwise_matrix_numpy",
     "envelope_numpy",
     "envelope_chunk",
-    "lb_keogh_batch",
     "lb_keogh_chunk",
-    "lb_keogh_reversed_batch",
     "lb_kim_batch",
     "suffix_gap_bounds_numpy",
 ]
@@ -708,10 +706,9 @@ def lb_keogh_chunk(
 ) -> np.ndarray:
     """LB_Keogh over a stacked chunk, bit-identical to the scalar sum.
 
-    Unlike :func:`lb_keogh_batch` (whose pairwise ``sum`` may differ
-    from the scalar implementation in final ulps), this kernel
-    accumulates each row's gap costs with ``np.cumsum`` -- a strictly
-    sequential left-to-right fold, so every bound equals
+    Each row's gap costs accumulate with ``np.cumsum`` -- a strictly
+    sequential left-to-right fold (a pairwise ``sum`` would
+    reassociate the additions), so every bound equals
     :func:`repro.lowerbounds.lb_keogh.lb_keogh` bit for bit, and the
     ``abandon_above`` decision is identical too: gap costs are
     non-negative, so the running total exceeds the threshold at some
@@ -876,59 +873,6 @@ def _gap_costs(values: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     if squared:
         np.multiply(gaps, gaps, out=gaps)
     return gaps
-
-
-def lb_keogh_batch(
-    query_envelope,
-    candidates,
-    squared: bool = True,
-    abandon_above: Optional[float] = None,
-) -> np.ndarray:
-    """LB_Keogh of every candidate against one query envelope.
-
-    One vectorised pass over a ``(k, n)`` candidate stack; candidates
-    whose bound exceeds ``abandon_above`` report ``inf``, mirroring the
-    scalar :func:`repro.lowerbounds.lb_keogh.lb_keogh` contract.  Sums
-    use NumPy's pairwise reduction, so values may differ from the
-    scalar implementation in the last ulps (bounds, not distances).
-    """
-    C = np.ascontiguousarray(candidates, dtype=np.float64)
-    if C.ndim == 1:
-        C = C[None, :]
-    if C.shape[1] != len(query_envelope):
-        raise ValueError(
-            f"candidate length {C.shape[1]} != envelope length "
-            f"{len(query_envelope)}"
-        )
-    upper = np.asarray(query_envelope.upper, dtype=np.float64)
-    lower = np.asarray(query_envelope.lower, dtype=np.float64)
-    totals = _gap_costs(C, lower, upper, squared).sum(axis=1)
-    if abandon_above is not None:
-        totals[totals > abandon_above] = _INF
-    return totals
-
-
-def lb_keogh_reversed_batch(
-    query,
-    candidates,
-    band: int,
-    squared: bool = True,
-    abandon_above: Optional[float] = None,
-) -> np.ndarray:
-    """Reversed LB_Keogh (candidate envelopes vs the query), batched:
-    all candidate envelopes come from one :func:`envelope_chunk` call
-    over the stacked candidates."""
-    q = np.ascontiguousarray(query, dtype=np.float64)
-    C = np.ascontiguousarray(candidates, dtype=np.float64)
-    if C.ndim == 1:
-        C = C[None, :]
-    if C.shape[1] != q.shape[0]:
-        raise ValueError("query and candidates must share their length")
-    upper, lower = envelope_chunk(C, band)
-    totals = _gap_costs(q[None, :], lower, upper, squared).sum(axis=1)
-    if abandon_above is not None:
-        totals[totals > abandon_above] = _INF
-    return totals
 
 
 def lb_kim_batch(

@@ -27,14 +27,13 @@ from .dataset_index import (
     build_index,
     build_stream_index,
 )
-from .search import IndexScan, IndexSearcher
+from .search import IndexSearcher
 from .storage import FORMAT, load_index, save_index
 
 __all__ = [
     "FORMAT",
     "DatasetIndex",
     "IndexMismatchError",
-    "IndexScan",
     "IndexSearcher",
     "build_index",
     "build_stream_index",

@@ -27,11 +27,11 @@ Three variants, all returning bit-identical neighbours (recorded under
 from __future__ import annotations
 
 import time
-from math import ceil, inf
+from math import ceil
 from typing import List, Optional
 
 from ..datasets.synthetic_archive import synthetic_archive
-from ..lowerbounds.cascade import CascadeStats, LowerBoundCascade
+from ..lowerbounds.cascade import CascadeBatch, CascadeStats
 from ..runtime import Runtime
 from .dataset_index import build_index
 
@@ -110,17 +110,15 @@ def index_benchmark(
         queries += len(series)
 
         t0 = time.perf_counter()
+        cascade = CascadeBatch(
+            series, band, use_improved=False, best_first=False, runtime=rt,
+        )
         for i, q in enumerate(series):
-            cascade = LowerBoundCascade(q, band, runtime=rt)
-            best, best_idx = inf, -1
-            for j, cand in enumerate(series):
-                if j == i:
-                    continue
-                d = cascade.distance(cand, best_so_far=best)
-                if d < best:
-                    best, best_idx = d, j
-            winners["unindexed_keogh"].append((entry.name, i, best_idx, best))
-            _merge(totals["unindexed_keogh"], cascade.stats)
+            hit = cascade.nearest(q, exclude=i)
+            winners["unindexed_keogh"].append(
+                (entry.name, i, hit.index, hit.distance)
+            )
+            _merge(totals["unindexed_keogh"], hit.stats)
         seconds["unindexed_keogh"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()

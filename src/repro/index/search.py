@@ -2,7 +2,7 @@
 
 :class:`IndexSearcher` marries a :class:`~repro.index.DatasetIndex`'s
 precomputed artifacts to the :class:`~repro.lowerbounds.cascade.
-CascadeBatch` machinery: candidate envelopes are served from the index
+CascadeBatch` cascade: candidate envelopes are served from the index
 instead of rebuilt, every query scans candidates best-first by their
 cheapest bound, the LB_Improved stage is on by default, and self-join
 workloads (LOOCV, discords, motifs) can share exact distances across
@@ -21,15 +21,14 @@ so trace snapshots and returned stats can be parity-checked.
 
 from __future__ import annotations
 
-from math import inf
 from typing import Optional, Sequence
 
-from ..lowerbounds.cascade import BatchNearest, CascadeBatch, LowerBoundCascade
+from ..lowerbounds.cascade import BatchNearest, CascadeBatch, CascadeScan
 from ..obs import trace as _obs
 from ..runtime import Runtime
 from .dataset_index import IndexMismatchError
 
-__all__ = ["IndexScan", "IndexSearcher"]
+__all__ = ["IndexSearcher"]
 
 
 class IndexSearcher:
@@ -43,9 +42,7 @@ class IndexSearcher:
         Execution context, per :mod:`repro.runtime` (``None`` = the
         process default, resolved *now*).  Searches are inherently
         sequential (best-so-far pruning), so only the backend
-        matters; it is pinned at construction exactly like
-        :class:`~repro.lowerbounds.cascade.LowerBoundCascade` pins
-        its own.
+        matters; the cascade pins it at construction.
     use_improved:
         Run the LB_Improved stage (default on: with envelopes
         precomputed, the second Lemire pass is cheap relative to the
@@ -92,13 +89,8 @@ class IndexSearcher:
         through ``index.starts`` for stream offsets.
         """
         self._check_query_length(query)
-        query_envelope = (
-            self.index.envelope(query_index)
-            if query_index is not None else None
-        )
         result = self._batch.nearest(
-            query, query_envelope=query_envelope,
-            query_index=query_index, exclude=exclude,
+            query, query_index=query_index, exclude=exclude,
         )
         self._record(result.artifacts_reused, result.stats)
         return result
@@ -107,11 +99,18 @@ class IndexSearcher:
         self,
         query: Sequence[float],
         query_index: Optional[int] = None,
-    ) -> "IndexScan":
+    ) -> CascadeScan:
         """A candidate-at-a-time view for callers that drive their own
-        loop (top-k, discords, motifs); see :class:`IndexScan`."""
+        loop (top-k, discords, motifs); see
+        :class:`~repro.lowerbounds.cascade.CascadeScan`.  Its
+        ``index.*`` counters are recorded when it is closed."""
         self._check_query_length(query)
-        return IndexScan(self, query, query_index=query_index)
+        return self._batch.scan(
+            query, query_index=query_index,
+            on_close=lambda scan: self._record(
+                scan.artifacts_reused, scan.stats
+            ),
+        )
 
     def _check_query_length(self, query: Sequence[float]) -> None:
         """Refuse a query whose length disagrees with the index.
@@ -149,73 +148,3 @@ class IndexSearcher:
             _obs.incr("index.lb_improved_prunes", stats.pruned_improved)
         if stats.reused_exact:
             _obs.incr("index.reused_exact", stats.reused_exact)
-
-
-class IndexScan:
-    """One query's pruned distances to indexed series, on demand.
-
-    Wraps a :class:`~repro.lowerbounds.cascade.LowerBoundCascade` whose
-    query envelope (for self-join queries) and candidate envelopes all
-    come from the index.  :meth:`distance` follows the cascade
-    contract: the value is the exact cDTW distance when finite, and
-    ``inf`` exactly when the candidate provably exceeds
-    ``best_so_far``.  Decisions are bit-identical to an index-free
-    cascade with the same flags, so scan-order-sensitive consumers
-    (discord's doubly-abandoning loops, top-k's heap threshold) keep
-    their exact results.
-
-    The per-query ``index.*`` counters are recorded when the scan is
-    garbage collected or :meth:`close` is called explicitly.
-    """
-
-    def __init__(
-        self,
-        searcher: IndexSearcher,
-        query: Sequence[float],
-        query_index: Optional[int] = None,
-    ):
-        self._searcher = searcher
-        batch = searcher._batch
-        query_envelope = (
-            searcher.index.envelope(query_index)
-            if query_index is not None else None
-        )
-        self._cascade: LowerBoundCascade = batch.cascade_for(
-            query, query_envelope=query_envelope
-        )
-        self._batch = batch
-        self._closed = False
-
-    @property
-    def stats(self):
-        """The scan's :class:`~repro.lowerbounds.cascade.CascadeStats`."""
-        return self._cascade.stats
-
-    def distance(self, index: int, best_so_far: float = inf) -> float:
-        """cDTW(query, indexed series ``index``), or ``inf`` if it
-        provably exceeds ``best_so_far``."""
-        return self._cascade.distance(
-            self._batch.candidates[index], best_so_far=best_so_far,
-            _candidate_envelope=self._batch.candidate_envelope(index),
-        )
-
-    def close(self) -> None:
-        """Flush this scan's ``index.*`` counters (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._searcher._record(
-            self._cascade.artifacts_reused, self._cascade.stats
-        )
-
-    def __enter__(self) -> "IndexScan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -7,7 +7,7 @@ bounding (plus early abandoning) applies *only* to exact cDTW -- not to
 FastDTW -- and buys "a further two to five orders of magnitude".
 """
 
-from .cascade import BatchNearest, CascadeBatch, CascadeStats, LowerBoundCascade
+from .cascade import BatchNearest, CascadeBatch, CascadeScan, CascadeStats
 from .envelope import Envelope, envelope
 from .lb_improved import clip_to_envelope, lb_improved
 from .lb_keogh import lb_keogh, lb_keogh_reversed
@@ -23,9 +23,9 @@ from .nd import (
 __all__ = [
     "BatchNearest",
     "CascadeBatch",
+    "CascadeScan",
     "CascadeStats",
     "Envelope",
-    "LowerBoundCascade",
     "clip_to_envelope",
     "envelope",
     "envelopes_nd",

@@ -1,13 +1,14 @@
-"""The cascading lower-bound pruner used by 1-NN search.
+"""The lower-bound cascade: lossless cDTW pruning for 1-NN search.
 
 Bounds are applied cheapest-first against a best-so-far threshold:
 
 1. ``LB_Kim``          -- O(1);
-2. ``LB_Keogh``        -- O(n), query envelope precomputed once;
+2. ``LB_Keogh``        -- O(n) against the query envelope, built once
+   per query;
 3. ``LB_Improved``     -- optional second Lemire pass, reusing the
-   LB_Keogh value (off by default; the indexed search enables it);
-4. ``LB_Keogh`` reversed -- O(n) plus an envelope build (or a
-   precomputed one, via ``_candidate_envelope``);
+   LB_Keogh value (the indexed search enables it);
+4. ``LB_Keogh`` reversed -- O(n): the same forward bound, scored with
+   the query against the *candidate's* envelope;
 5. early-abandoning cDTW -- the full DP, only for survivors.
 
 Every stage is provably ``<=`` the true cDTW distance, so pruning is
@@ -15,29 +16,28 @@ lossless: the search returns exactly the nearest neighbour, just
 faster.  :class:`CascadeStats` records where each candidate was pruned,
 which the repeated-use benchmark reports alongside the timings.
 
-:class:`CascadeBatch` drives many queries against one fixed candidate
-set: candidate envelopes are built (or accepted precomputed, e.g. from
-a :class:`repro.index.DatasetIndex`) once for the whole batch,
-candidates are ordered best-first by their cheapest bound so the
-best-so-far tightens early, and -- for self-join batches -- exact
-distances computed for earlier queries seed later queries' thresholds
-through a symmetric cache.  All three tricks are lossless: the
-reported neighbour and distance are bit-identical to the plain serial
-scan.
+:class:`CascadeBatch` is the one cascade: it holds a candidate set and
+answers queries against it, either whole (:meth:`CascadeBatch.nearest`)
+or candidate by candidate for callers that run their own loop
+(:meth:`CascadeBatch.scan`: top-k, discords, motifs).  Candidate
+envelopes come ready-made from an index when one is given; otherwise
+each is built the first time the reversed stage asks for it and kept
+for the batch's life.  Multivariate ``(length, dims)`` candidates run
+the same stage list with the summed per-channel bounds of
+:mod:`repro.lowerbounds.nd` and the dependent DP as the exact stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from ..core.cdtw import cdtw
 from ..obs import trace as _obs
-from ..runtime import Runtime, _resolve_legacy
+from ..runtime import Runtime
 from .envelope import Envelope, envelope
 from .lb_improved import lb_improved
-from .lb_keogh import lb_keogh, lb_keogh_reversed
+from .lb_keogh import lb_keogh
 from .lb_kim import lb_kim
 
 
@@ -72,532 +72,9 @@ class CascadeStats:
         return self.pruned_total() / self.candidates
 
 
-class LowerBoundCascade:
-    """Lossless cDTW pruner for one query against many candidates.
-
-    Parameters
-    ----------
-    query:
-        The (typically z-normalised) query series.
-    band:
-        Sakoe-Chiba half-width in cells; must match the cDTW calls the
-        cascade stands in for.
-    squared:
-        Local cost convention (squared by default, as in the engine).
-    use_reversed:
-        Whether to run the reversed LB_Keogh stage (costs an envelope
-        build per surviving candidate; usually worth it).
-    runtime:
-        Execution context, per :mod:`repro.runtime` (``None`` = the
-        process default).  Only its backend matters: the cascade's
-        best-so-far pruning threads a threshold through the scan, so
-        it is inherently sequential and ignores worker/executor
-        settings.  The cascade stays lossless on every backend --
-        each stage remains a valid lower bound -- and the exact DP
-        stage is bit-identical.  The Kim and forward Keogh stages are
-        bit-identical too (the forward Keogh runs through the
-        sequential-order ``lb_keogh_chunk`` kernel), so with
-        ``use_reversed=False`` the prune counters match the pure
-        backend exactly; the reversed stage's batched reduction may
-        still differ in final ulps, shifting counters on boundary
-        cases.
-    backend:
-        Deprecated override of the runtime's backend; passing it
-        emits a :class:`DeprecationWarning`.
-
-    Notes
-    -----
-    On a vectorised backend, :meth:`nearest` first computes *full*
-    (no-abandon) Kim and Keogh bounds for every candidate in stacked
-    chunk-kernel calls (:meth:`prefilter_bounds`), then replays the
-    sequential best-so-far scan against the precomputed values.  The
-    decisions are identical to the candidate-at-a-time scan: gap
-    costs are non-negative, so a bound's prefix sums are monotone and
-    "abandoned above the threshold" holds exactly when the full bound
-    exceeds it.  ``lb.invocations`` counts *logical stage
-    evaluations* in replay order (one per stage reached per
-    candidate, exactly as the scalar scan charges them); the batched
-    kernel calls themselves are recorded under ``lb.chunk_prefilter``.
-    """
-
-    def __init__(
-        self,
-        query: Sequence[float],
-        band: int,
-        squared: bool = True,
-        use_reversed: bool = True,
-        use_cumulative: bool = True,
-        backend: Optional[str] = None,
-        runtime: Optional[Runtime] = None,
-        use_improved: bool = False,
-        query_envelope: Optional[Envelope] = None,
-    ):
-        if band < 0:
-            raise ValueError("band must be non-negative")
-        rt = _resolve_legacy(
-            "LowerBoundCascade", runtime, backend=backend
-        ).serial()
-        # pin the backend now: the whole scan must use the backend in
-        # effect at construction, even if the process default changes
-        rt = rt.replace(backend=rt.backend_name)
-        self.runtime = rt
-        self.query = list(query)
-        self.band = band
-        self.squared = squared
-        self.use_reversed = use_reversed
-        self.use_cumulative = use_cumulative
-        self.use_improved = use_improved
-        self.backend = rt.backend_name
-        kernel_set = rt.kernels()
-        self._kernels = (
-            kernel_set if kernel_set.name != "python" else None
-        )
-        # multivariate queries take the summed per-channel bound
-        # stages of :mod:`repro.lowerbounds.nd` (admissible for both
-        # DTW_I and DTW_D) and the dependent DP as the exact stage
-        self.dims = (
-            len(self.query[0])
-            if self.query and hasattr(self.query[0], "__len__")
-            else None
-        )
-        # precomputed artifacts served instead of recomputation, for
-        # the ``index.artifacts_reused`` accounting of indexed search
-        self.artifacts_reused = 0
-        if self.dims is not None:
-            from .nd import envelopes_nd
-
-            if query_envelope is not None:
-                envs = tuple(query_envelope)
-                if len(envs) != self.dims or any(
-                    e.band != band or len(e) != len(self.query)
-                    for e in envs
-                ):
-                    raise ValueError(
-                        "query_envelope does not match query and band"
-                    )
-                self.envelopes_nd = envs
-                self.artifacts_reused += 1
-            else:
-                self.envelopes_nd = envelopes_nd(self.query, band)
-            self.envelope = None
-            self._env_upper = self._env_lower = None
-            self.stats = CascadeStats()
-            return
-        if query_envelope is not None:
-            if (
-                query_envelope.band != band
-                or len(query_envelope) != len(self.query)
-            ):
-                raise ValueError(
-                    "query_envelope does not match query and band"
-                )
-            self.envelope: Envelope = query_envelope
-            self.artifacts_reused += 1
-        else:
-            self.envelope = envelope(self.query, band)
-        if self._kernels is not None:
-            # array views of the envelope, converted once: every
-            # chunk-kernel call over the scan reuses them
-            import numpy as np
-
-            self._env_upper = np.asarray(
-                self.envelope.upper, dtype=np.float64
-            )
-            self._env_lower = np.asarray(
-                self.envelope.lower, dtype=np.float64
-            )
-        else:
-            self._env_upper = self._env_lower = None
-        self.stats = CascadeStats()
-
-    def distance(
-        self,
-        candidate: Sequence[float],
-        best_so_far: float = inf,
-        _kim: Optional[float] = None,
-        _keogh: Optional[float] = None,
-        _candidate_envelope=None,
-    ) -> float:
-        """cDTW(query, candidate) or ``inf`` if provably > best_so_far.
-
-        The returned value is exact whenever it is finite; ``inf``
-        means the candidate was pruned (its true distance exceeds
-        ``best_so_far``).
-
-        ``_kim``/``_keogh`` let :meth:`nearest` replay precomputed
-        chunk-prefilter bounds; stage counters and decisions are
-        identical either way (see the class notes).
-        ``_candidate_envelope`` (an ``(upper, lower)`` pair with the
-        cascade's band) serves the reversed stage from a precomputed
-        artifact instead of building an envelope per call.
-        """
-        if len(candidate) != len(self.query):
-            raise ValueError("cascade requires equal-length candidates")
-        trace = _obs.active_trace()
-        if trace is None:
-            return self._distance_impl(
-                candidate, best_so_far, _kim, _keogh,
-                _candidate_envelope,
-            )
-        with _obs.span("lb_cascade"):
-            return self._distance_impl(
-                candidate, best_so_far, _kim, _keogh,
-                _candidate_envelope,
-            )
-
-    def _distance_impl(
-        self,
-        candidate: Sequence[float],
-        best_so_far: float,
-        kim: Optional[float] = None,
-        keogh: Optional[float] = None,
-        cand_env=None,
-    ) -> float:
-        if self.dims is not None:
-            return self._distance_impl_nd(
-                candidate, best_so_far, kim, keogh, cand_env
-            )
-        stats = self.stats
-        stats.candidates += 1
-        _obs.incr("lb.candidates")
-        cost = "squared" if self.squared else "abs"
-        k = self._kernels
-
-        _obs.incr("lb.invocations")
-        if kim is None:
-            if k is not None:
-                kim = k.lb_kim(self.query, (candidate,), cost=cost)[0]
-            else:
-                kim = lb_kim(self.query, candidate, cost=cost)
-        if kim > best_so_far:
-            stats.pruned_kim += 1
-            _obs.incr("lb.pruned_kim")
-            return inf
-        _obs.incr("lb.invocations")
-        if keogh is not None:
-            # a full bound prunes iff the abandoning scan would have:
-            # gap costs are non-negative, so total > threshold exactly
-            # when some prefix crossed it
-            lb = keogh
-        elif k is not None:
-            lb = float(k.lb_keogh_chunk(
-                self._env_upper, self._env_lower, (candidate,),
-                squared=self.squared, abandon_above=best_so_far,
-            )[0])
-        else:
-            lb = lb_keogh(
-                self.envelope, candidate,
-                squared=self.squared, abandon_above=best_so_far,
-            )
-        if lb > best_so_far:
-            stats.pruned_keogh += 1
-            _obs.incr("lb.pruned_keogh")
-            return inf
-        if self.use_improved:
-            # Lemire's second pass on top of the forward-Keogh value
-            # (``lb`` is the full bound here: the abandoning scan only
-            # returns a finite value when it summed every gap)
-            _obs.incr("lb.invocations")
-            if k is not None:
-                imp = float(k.lb_improved_chunk(
-                    self._env_upper, self._env_lower, (candidate,),
-                    self.query, self.band, squared=self.squared,
-                    keogh=(lb,), abandon_above=best_so_far,
-                )[0])
-            else:
-                imp = lb_improved(
-                    self.query, candidate, self.band,
-                    squared=self.squared, abandon_above=best_so_far,
-                    query_envelope=self.envelope, keogh=lb,
-                )
-            if imp > best_so_far:
-                stats.pruned_improved += 1
-                _obs.incr("lb.pruned_improved")
-                return inf
-        if self.use_reversed:
-            _obs.incr("lb.invocations")
-            if cand_env is not None:
-                # precomputed candidate envelope: the reversed bound
-                # is a plain forward LB_Keogh of the query against it,
-                # through the bit-identical chunk kernel on vectorised
-                # backends
-                self.artifacts_reused += 1
-                up, lo = cand_env
-                if k is not None:
-                    lb = float(k.lb_keogh_chunk(
-                        up, lo, (self.query,),
-                        squared=self.squared, abandon_above=best_so_far,
-                    )[0])
-                else:
-                    lb = lb_keogh(
-                        Envelope(self.band, up, lo), self.query,
-                        squared=self.squared, abandon_above=best_so_far,
-                    )
-            elif k is not None:
-                lb = k.lb_keogh_reversed(
-                    self.query, (candidate,), self.band,
-                    squared=self.squared, abandon_above=best_so_far,
-                )[0]
-            else:
-                lb = lb_keogh_reversed(
-                    self.query, candidate, self.band,
-                    squared=self.squared, abandon_above=best_so_far,
-                )
-            if lb > best_so_far:
-                stats.pruned_keogh_reversed += 1
-                _obs.incr("lb.pruned_keogh_reversed")
-                return inf
-
-        if self.use_cumulative and best_so_far != inf:
-            # final exact stage with the UCR-suite cumulative suffix
-            # bound: DTW over the candidate against the query, charged
-            # up-front for what its remaining rows must at least cost
-            from ..search.cumulative import cdtw_cumulative_abandon
-
-            result = cdtw_cumulative_abandon(
-                candidate, self.query, self.band,
-                threshold=best_so_far,
-                y_envelope=self.envelope,
-                squared=self.squared,
-                runtime=self.runtime,
-            )
-        elif k is not None:
-            from ..core.kernels import banded_window
-            from ..core.validate import validate_pair
-
-            validate_pair(self.query, candidate)
-            result = k.dtw(
-                self.query, candidate,
-                banded_window(len(self.query), len(candidate), self.band),
-                cost=cost,
-                abandon_above=best_so_far if best_so_far != inf else None,
-            )
-        else:
-            result = cdtw(
-                self.query, candidate, band=self.band, cost=cost,
-                abandon_above=best_so_far if best_so_far != inf else None,
-            )
-        stats.cells += result.cells
-        if result.abandoned:
-            stats.abandoned_dtw += 1
-            _obs.incr("lb.abandoned_dtw")
-            return inf
-        stats.full_dtw += 1
-        _obs.incr("lb.full_dtw")
-        return result.distance
-
-    def _distance_impl_nd(
-        self,
-        candidate: Sequence[Sequence[float]],
-        best_so_far: float,
-        kim: Optional[float] = None,
-        keogh: Optional[float] = None,
-        cand_env=None,
-    ) -> float:
-        """The multivariate stage sequence (same structure, same
-        counters, same lossless guarantees as the scalar path).
-
-        Each bound is a summed per-channel scalar bound, admissible
-        for both DTW_I and DTW_D (see :mod:`repro.lowerbounds.nd`);
-        the exact stage runs the dependent DP.  The cumulative-suffix
-        stage is scalar-only and does not apply to vector samples, so
-        the exact stage falls back to plain early abandoning.
-        ``cand_env`` here is the candidate's per-channel
-        :class:`Envelope` tuple (as built by
-        :func:`repro.lowerbounds.nd.envelopes_nd`).
-        """
-        from .nd import (
-            lb_improved_nd,
-            lb_keogh_nd,
-            lb_keogh_reversed_nd,
-            lb_kim_nd,
-        )
-
-        stats = self.stats
-        stats.candidates += 1
-        _obs.incr("lb.candidates")
-        cost = "squared" if self.squared else "abs"
-
-        _obs.incr("lb.invocations")
-        if kim is None:
-            kim = lb_kim_nd(self.query, candidate, cost=cost)
-        if kim > best_so_far:
-            stats.pruned_kim += 1
-            _obs.incr("lb.pruned_kim")
-            return inf
-        _obs.incr("lb.invocations")
-        if keogh is not None:
-            lb = keogh
-        else:
-            lb = lb_keogh_nd(
-                self.envelopes_nd, candidate,
-                squared=self.squared, abandon_above=best_so_far,
-            )
-        if lb > best_so_far:
-            stats.pruned_keogh += 1
-            _obs.incr("lb.pruned_keogh")
-            return inf
-        if self.use_improved:
-            _obs.incr("lb.invocations")
-            imp = lb_improved_nd(
-                self.query, candidate, self.band,
-                squared=self.squared, abandon_above=best_so_far,
-                query_envelopes=self.envelopes_nd,
-            )
-            if imp > best_so_far:
-                stats.pruned_improved += 1
-                _obs.incr("lb.pruned_improved")
-                return inf
-        if self.use_reversed:
-            _obs.incr("lb.invocations")
-            if cand_env is not None:
-                self.artifacts_reused += 1
-                lb = lb_keogh_nd(
-                    cand_env, self.query,
-                    squared=self.squared, abandon_above=best_so_far,
-                )
-            else:
-                lb = lb_keogh_reversed_nd(
-                    self.query, candidate, self.band,
-                    squared=self.squared, abandon_above=best_so_far,
-                )
-            if lb > best_so_far:
-                stats.pruned_keogh_reversed += 1
-                _obs.incr("lb.pruned_keogh_reversed")
-                return inf
-
-        threshold = best_so_far if best_so_far != inf else None
-        k = self._kernels
-        if k is not None:
-            from ..core.kernels import banded_window
-
-            result = k.dtw_nd(
-                self.query, candidate,
-                banded_window(
-                    len(self.query), len(candidate), self.band
-                ),
-                cost=cost, abandon_above=threshold,
-            )
-        else:
-            from ..core.multivariate import cdtw_nd
-
-            result = cdtw_nd(
-                self.query, candidate, band=self.band, cost=cost,
-                abandon_above=threshold,
-            )
-        stats.cells += result.cells
-        if result.abandoned:
-            stats.abandoned_dtw += 1
-            _obs.incr("lb.abandoned_dtw")
-            return inf
-        stats.full_dtw += 1
-        _obs.incr("lb.full_dtw")
-        return result.distance
-
-    def prefilter_bounds(self, candidates: Sequence[Sequence[float]]):
-        """Full (no-abandon) Kim and Keogh bounds for every candidate.
-
-        Returns ``(kims, keoghs)``, two sequences of floats aligned
-        with ``candidates``.  On a vectorised backend both come from
-        one stacked kernel call each (recorded under
-        ``lb.chunk_prefilter``); the pure backend loops the scalar
-        bounds.  Either way each value is bit-identical to what the
-        corresponding cascade stage would compute without a
-        threshold, so :meth:`distance` can replay them with unchanged
-        decisions.
-        """
-        n = len(self.query)
-        for cand in candidates:
-            if len(cand) != n:
-                raise ValueError(
-                    "cascade requires equal-length candidates"
-                )
-        cost = "squared" if self.squared else "abs"
-        if self.dims is not None:
-            # the summed per-channel bounds are pure-python on every
-            # backend; full (no-abandon) values replay identically
-            from .nd import lb_keogh_nd, lb_kim_nd
-
-            kims = [
-                lb_kim_nd(self.query, c, cost=cost) for c in candidates
-            ]
-            keoghs = [
-                lb_keogh_nd(self.envelopes_nd, c, squared=self.squared)
-                for c in candidates
-            ]
-            return kims, keoghs
-        k = self._kernels
-        if k is None:
-            kims = [
-                lb_kim(self.query, c, cost=cost) for c in candidates
-            ]
-            keoghs = [
-                lb_keogh(self.envelope, c, squared=self.squared)
-                for c in candidates
-            ]
-            return kims, keoghs
-        _obs.incr("lb.chunk_prefilter")
-        kims = k.lb_kim(self.query, candidates, cost=cost)
-        _obs.incr("lb.chunk_prefilter")
-        keoghs = k.lb_keogh_chunk(
-            self._env_upper, self._env_lower, candidates,
-            squared=self.squared,
-        )
-        return [float(v) for v in kims], [float(v) for v in keoghs]
-
-    def nearest(self, candidates: Sequence[Sequence[float]]) -> tuple:
-        """Index and distance of the nearest candidate to the query.
-
-        Returns ``(index, distance)``; raises ``ValueError`` on an
-        empty candidate list.  Exactness follows from the bounds being
-        lower bounds: a pruned candidate cannot beat ``best_so_far``.
-
-        On a vectorised backend the Kim/Keogh bounds for the whole
-        scan come from :meth:`prefilter_bounds` up front; the
-        sequential best-so-far replay then makes decisions identical
-        to the candidate-at-a-time scan (see the class notes).
-        """
-        if not candidates:
-            raise ValueError("no candidates to search")
-        pre_kim = pre_keogh = None
-        if self._kernels is not None:
-            pre_kim, pre_keogh = self.prefilter_bounds(candidates)
-        best_idx = -1
-        best = inf
-        for idx, cand in enumerate(candidates):
-            if pre_kim is None:
-                d = self.distance(cand, best_so_far=best)
-            else:
-                d = self.distance(
-                    cand, best_so_far=best,
-                    _kim=pre_kim[idx], _keogh=pre_keogh[idx],
-                )
-            if d < best:
-                best, best_idx = d, idx
-        if best_idx < 0:
-            # all infinite distances (possible only with inf inputs);
-            # fall back to the first candidate for determinism.
-            best_idx = 0
-            best = self._exact_unpruned(candidates[0])
-        return best_idx, best
-
-    def _exact_unpruned(self, candidate) -> float:
-        """The exact distance with no threshold (fallback path)."""
-        cost = "squared" if self.squared else "abs"
-        if self.dims is not None:
-            from ..core.multivariate import cdtw_nd
-
-            return cdtw_nd(
-                self.query, candidate, band=self.band, cost=cost,
-            ).distance
-        return cdtw(
-            self.query, candidate, band=self.band, cost=cost,
-        ).distance
-
-
 @dataclass(frozen=True)
 class BatchNearest:
-    """One query's outcome from a :class:`CascadeBatch` scan.
+    """One query's outcome from :meth:`CascadeBatch.nearest`.
 
     ``index`` addresses the *original* candidate list (exclusions and
     best-first reordering notwithstanding); ``stats`` are the query's
@@ -612,15 +89,255 @@ class BatchNearest:
     artifacts_reused: int
 
 
+class _Stages(NamedTuple):
+    """The bound and exact-DP callables one batch runs, picked once."""
+
+    kim: Callable  # (query, candidate) -> bound
+    keogh: Callable  # (envelope, series, best) -> bound or inf
+    improved: Callable  # (query, query_env, candidate, keogh, best)
+    envelope: Callable  # (series) -> envelope
+    exact: Callable  # (query, query_env, candidate, best) -> DtwResult
+
+
+def _pick_stages(band, squared, use_cumulative, dims, rt) -> _Stages:
+    from ..core.kernels import banded_window
+
+    cost = "squared" if squared else "abs"
+    kernels = rt.kernels()
+    vectorised = kernels.name != "python"
+
+    def abandon_at(best):
+        return None if best == inf else best
+
+    if dims is not None:
+        # summed per-channel bounds (admissible for DTW_I and DTW_D,
+        # pure python on every backend); the cumulative-suffix stage
+        # is scalar-only, so the exact stage is plain early abandoning
+        from ..core.multivariate import cdtw_nd
+        from .nd import envelopes_nd, lb_improved_nd, lb_keogh_nd, lb_kim_nd
+
+        if vectorised:
+            def exact(q, q_env, c, best):
+                return kernels.dtw_nd(
+                    q, c, banded_window(len(q), len(c), band), cost=cost,
+                    abandon_above=abandon_at(best),
+                )
+        else:
+            def exact(q, q_env, c, best):
+                return cdtw_nd(
+                    q, c, band=band, cost=cost,
+                    abandon_above=abandon_at(best),
+                )
+
+        return _Stages(
+            kim=lambda q, c: lb_kim_nd(q, c, cost=cost),
+            keogh=lambda env, x, best: lb_keogh_nd(
+                env, x, squared=squared, abandon_above=best,
+            ),
+            improved=lambda q, env, c, lb, best: lb_improved_nd(
+                q, c, band, squared=squared, abandon_above=best,
+                query_envelopes=env,
+            ),
+            envelope=lambda x: envelopes_nd(x, band),
+            exact=exact,
+        )
+
+    from ..core.cdtw import cdtw
+    from ..core.validate import validate_pair
+    from ..search.cumulative import cdtw_cumulative_abandon
+
+    def exact(q, q_env, c, best):
+        if use_cumulative and best != inf:
+            # the UCR-suite cumulative suffix bound: DTW over the
+            # candidate against the query, charged up-front for what
+            # its remaining rows must at least cost
+            return cdtw_cumulative_abandon(
+                c, q, band, threshold=best, y_envelope=q_env,
+                squared=squared, runtime=rt,
+            )
+        if vectorised:
+            validate_pair(q, c)
+            return kernels.dtw(
+                q, c, banded_window(len(q), len(c), band), cost=cost,
+                abandon_above=abandon_at(best),
+            )
+        return cdtw(q, c, band=band, cost=cost,
+                    abandon_above=abandon_at(best))
+
+    def kim(q, c):
+        return lb_kim(q, c, cost=cost)
+
+    if not vectorised:
+        return _Stages(
+            kim=kim,
+            keogh=lambda env, x, best: lb_keogh(
+                env, x, squared=squared, abandon_above=best,
+            ),
+            improved=lambda q, env, c, lb, best: lb_improved(
+                q, c, band, squared=squared, abandon_above=best,
+                query_envelope=env, keogh=lb,
+            ),
+            envelope=lambda x: envelope(x, band),
+            exact=exact,
+        )
+
+    # vectorised backends keep envelopes as float64 arrays and run the
+    # sequential-sum chunk kernels, bit-identical to the scalar bounds
+    def vector_envelope(x):
+        up, lo = kernels.envelope_chunk((x,), band)
+        return Envelope(band, up[0], lo[0])
+
+    return _Stages(
+        kim=kim,
+        keogh=lambda env, x, best: float(kernels.lb_keogh_chunk(
+            env.upper, env.lower, (x,), squared=squared,
+            abandon_above=best,
+        )[0]),
+        improved=lambda q, env, c, lb, best: float(kernels.lb_improved_chunk(
+            env.upper, env.lower, (c,), q, band, squared=squared,
+            keogh=(lb,), abandon_above=best,
+        )[0]),
+        envelope=vector_envelope,
+        exact=exact,
+    )
+
+
+class CascadeScan:
+    """One query's pruned distances to a batch's candidates, on demand.
+
+    Made by :meth:`CascadeBatch.scan`.  :meth:`distance` follows the
+    cascade contract -- the exact cDTW distance when finite, ``inf``
+    exactly when the candidate provably exceeds ``best_so_far`` -- so
+    scan-order-sensitive callers (discord's doubly-abandoning loops,
+    top-k's heap threshold) keep their exact results.  ``stats``
+    accumulates the query's :class:`CascadeStats`; :meth:`close` (or
+    leaving a ``with`` block) runs the batch owner's ``on_close`` hook
+    once.
+    """
+
+    def __init__(self, batch, query, query_index=None, on_close=None):
+        self.query = list(query)
+        if len(self.query) != batch.length:
+            raise ValueError("cascade requires equal-length candidates")
+        first = self.query[0] if len(self.query) else None
+        dims = len(first) if hasattr(first, "__len__") else None
+        if dims != batch.dims:
+            raise ValueError(
+                "query and candidates must both be univariate or share "
+                "their channel count"
+            )
+        self._batch = batch
+        self._on_close = on_close
+        self.stats = CascadeStats()
+        self.artifacts_reused = 0
+        # a self-join query *is* candidate ``query_index``, so its
+        # envelope is that candidate's (stored or built and kept)
+        self.envelope = (
+            batch._stages.envelope(self.query)
+            if query_index is None or batch._envelopes is None
+            else self._envelope_of(query_index)
+        )
+
+    def distance(self, index: int, best_so_far: float = inf) -> float:
+        """cDTW(query, candidate ``index``), or ``inf`` if it provably
+        exceeds ``best_so_far``."""
+        return self._evaluate(index, best_so_far)
+
+    def close(self) -> None:
+        """Run the ``on_close`` hook (idempotent)."""
+        hook, self._on_close = self._on_close, None
+        if hook is not None:
+            hook(self)
+
+    def __enter__(self) -> "CascadeScan":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # -- the stage list ------------------------------------------------------
+
+    def _evaluate(self, j, best, kim=None, keogh=None) -> float:
+        if _obs.active_trace() is None:
+            return self._stages(j, best, kim, keogh)
+        with _obs.span("lb_cascade"):
+            return self._stages(j, best, kim, keogh)
+
+    def _stages(self, j, best, kim, keogh) -> float:
+        """Run candidate ``j`` down the cascade.
+
+        ``kim``/``keogh`` replay full (no-abandon) bounds computed up
+        front by :meth:`CascadeBatch.nearest`'s prefilter.  Decisions
+        are identical either way: gap costs are non-negative, so an
+        abandoning bound crosses the threshold exactly when its full
+        value exceeds it.
+        """
+        batch, stages = self._batch, self._batch._stages
+        self.stats.candidates += 1
+        _obs.incr("lb.candidates")
+        cand = batch.candidates[j]
+        _obs.incr("lb.invocations")
+        if kim is None:
+            kim = stages.kim(self.query, cand)
+        if kim > best:
+            return self._pruned("pruned_kim")
+        _obs.incr("lb.invocations")
+        lb = keogh if keogh is not None else stages.keogh(
+            self.envelope, cand, best
+        )
+        if lb > best:
+            return self._pruned("pruned_keogh")
+        if batch.use_improved:
+            # Lemire's second pass on top of the forward-Keogh value
+            # (``lb`` is the full bound: an abandoning pass only returns
+            # a finite value when it summed every gap)
+            _obs.incr("lb.invocations")
+            imp = stages.improved(self.query, self.envelope, cand, lb, best)
+            if imp > best:
+                return self._pruned("pruned_improved")
+        if batch.use_reversed:
+            _obs.incr("lb.invocations")
+            env = (
+                stages.envelope(cand) if batch._envelopes is None
+                else self._envelope_of(j)
+            )
+            if stages.keogh(env, self.query, best) > best:
+                return self._pruned("pruned_keogh_reversed")
+        result = stages.exact(self.query, self.envelope, cand, best)
+        self.stats.cells += result.cells
+        if result.abandoned:
+            return self._pruned("abandoned_dtw")
+        self.stats.full_dtw += 1
+        _obs.incr("lb.full_dtw")
+        return result.distance
+
+    def _pruned(self, stage: str) -> float:
+        setattr(self.stats, stage, getattr(self.stats, stage) + 1)
+        _obs.incr("lb." + stage)
+        return inf
+
+    def _envelope_of(self, j):
+        """Candidate ``j``'s envelope, from the batch's store."""
+        batch = self._batch
+        env = batch._envelopes[j]
+        if env is None:
+            env = batch._envelopes[j] = batch._stages.envelope(
+                batch.candidates[j]
+            )
+        elif batch._provided:
+            self.artifacts_reused += 1
+        return env
+
+
 class CascadeBatch:
-    """Many-query cascade driver over one fixed candidate set.
+    """The lower-bound cascade over one fixed candidate set.
 
-    Shares the per-candidate work a query-at-a-time scan repeats:
+    Queries run through one stage list (see the module notes), with
+    three lossless tricks for repeated use:
 
-    * **precomputed artifacts** -- candidate envelopes are built once
-      for the whole batch (or accepted ready-made via
-      ``candidate_envelopes``, e.g. from a
-      :class:`repro.index.DatasetIndex`) and served to every query's
+    * **precomputed artifacts** -- candidate envelopes come from
+      ``candidate_envelopes`` (e.g. a :class:`repro.index.DatasetIndex`)
+      or are built on first use and kept, and serve every query's
       reversed stage;
     * **best-first ordering** -- each query scans candidates in
       ascending order of their cheapest bound (full LB_Kim, O(1) per
@@ -633,17 +350,63 @@ class CascadeBatch:
       cache: cDTW is symmetric, so ``d(q_i, c_j)`` is an exact upper
       bound on query ``j``'s nearest-neighbour distance.
 
-    All three are lossless.  Pruning only ever discards candidates
-    whose true distance provably exceeds a valid threshold, and the
-    winner tie-break is explicit -- smallest original index among the
-    equally-nearest -- which is exactly the first-wins winner of the
-    serial in-order scan, so :meth:`nearest` returns a bit-identical
-    ``(index, distance)`` for any ordering, seeding or backend.
+    Pruning only ever discards candidates whose true distance provably
+    exceeds a valid threshold, and the winner tie-break is explicit --
+    smallest original index among the equally-nearest -- which is
+    exactly the first-wins winner of the serial in-order scan, so
+    :meth:`nearest` returns a bit-identical ``(index, distance)`` for
+    any ordering, seeding or backend.
 
-    Parameters mirror :class:`LowerBoundCascade`; ``use_improved``
-    defaults to ``True`` here because the batch's precomputed
-    envelopes make the second Lemire pass cheap relative to the DPs
-    it prunes.
+    Parameters
+    ----------
+    candidates:
+        Equal-length series to search.  A list or tuple is *held*:
+        each candidate's envelope, once built, is kept for the batch's
+        life.  Any other sequence is a *view* that computes candidates
+        on access (e.g. a stream's sliding windows); the batch then
+        keeps nothing per candidate, so its working set stays one
+        candidate.
+    band:
+        Sakoe-Chiba half-width in cells; must match the cDTW calls the
+        cascade stands in for.
+    squared:
+        Local cost convention (squared by default, as in the engine).
+    use_reversed:
+        Run the reversed LB_Keogh stage.
+    use_cumulative:
+        Give the exact stage the UCR-suite cumulative suffix bound
+        (univariate series only).
+    use_improved:
+        Run the LB_Improved stage (default on: with envelopes at hand,
+        the second Lemire pass is cheap relative to the DPs it prunes).
+    best_first:
+        Let :meth:`nearest` scan candidates cheapest-bound-first
+        (default on; off gives the classic in-order scan).
+    share_exact:
+        Keep the symmetric exact-distance cache across self-join
+        queries (callers then pass ``query_index``).
+    runtime:
+        Execution context, per :mod:`repro.runtime` (``None`` = the
+        process default).  Only its backend matters -- best-so-far
+        pruning threads a threshold through the scan, so the cascade
+        is sequential -- and it is pinned at construction.  Every
+        stage is bit-identical across backends (the forward and
+        reversed LB_Keogh both run the sequential-order
+        ``lb_keogh_chunk`` kernel on vectorised backends), so answers
+        and :class:`CascadeStats` are too.
+    candidate_envelopes:
+        Precomputed candidate envelopes: ``(upper, lower)`` stacks for
+        univariate candidates, one per-channel :class:`Envelope` tuple
+        per candidate for multivariate ones.
+
+    Notes
+    -----
+    On a vectorised backend, :meth:`nearest` over held univariate
+    candidates first computes *full* Kim and Keogh bounds for every
+    candidate in two stacked chunk-kernel calls (recorded under
+    ``lb.chunk_prefilter``), then replays the best-so-far scan against
+    them with unchanged decisions.  ``lb.invocations`` counts logical
+    stage evaluations either way: one per stage reached per candidate.
     """
 
     def __init__(
@@ -664,136 +427,107 @@ class CascadeBatch:
         if not candidates:
             raise ValueError("no candidates to search")
         rt = Runtime.resolve(runtime).serial()
-        rt = rt.replace(backend=rt.backend_name)
-        self.runtime = rt
+        # pin the backend now: every query must use the backend in
+        # effect at construction, even if the process default changes
+        self.runtime = rt = rt.replace(backend=rt.backend_name)
         self.band = band
         self.squared = squared
         self.use_reversed = use_reversed
-        self.use_cumulative = use_cumulative
         self.use_improved = use_improved
         self.best_first = best_first
-        self.candidates = [list(c) for c in candidates]
-        n = len(self.candidates[0])
-        if any(len(c) != n for c in self.candidates):
+        self._held = isinstance(candidates, (list, tuple))
+        self.candidates = (
+            list(candidates) if self._held else candidates
+        )
+        first = self.candidates[0]
+        self.length = len(first)
+        if self._held and any(
+            len(c) != self.length for c in self.candidates
+        ):
             raise ValueError("cascade requires equal-length candidates")
         self.dims = (
-            len(self.candidates[0][0])
-            if self.candidates[0]
-            and hasattr(self.candidates[0][0], "__len__")
+            len(first[0]) if len(first) and hasattr(first[0], "__len__")
             else None
         )
-        kernel_set = rt.kernels()
-        self._vectorised = kernel_set.name != "python"
-        self._kernel_set = kernel_set
+        self._stages = _pick_stages(
+            band, squared, use_cumulative, self.dims, rt
+        )
+        self._vectorised = rt.kernels().name != "python"
+        self._stack = None
         self._cache: Optional[Dict[int, Dict[int, float]]] = (
             {} if share_exact else None
         )
-        self._env_upper = self._env_lower = None
-        self._envelopes_nd = None
-        self._provided_envelopes = candidate_envelopes is not None
-        if use_reversed and self.dims is not None:
-            # per-candidate tuples of per-channel envelopes (the form
-            # envelopes_nd produces and the nd index persists)
-            from .nd import envelopes_nd
-
-            if candidate_envelopes is not None:
-                envs = tuple(tuple(e) for e in candidate_envelopes)
-                if len(envs) != len(self.candidates):
-                    raise ValueError(
-                        "candidate_envelopes must cover every candidate"
-                    )
-            else:
-                envs = tuple(
-                    envelopes_nd(c, band) for c in self.candidates
-                )
-            self._envelopes_nd = envs
-        elif use_reversed:
-            if candidate_envelopes is not None:
-                up, lo = candidate_envelopes
-                if len(up) != len(self.candidates) or len(lo) != len(up):
-                    raise ValueError(
-                        "candidate_envelopes must cover every candidate"
-                    )
-            else:
-                up, lo = kernel_set.envelope_chunk(self.candidates, band)
-            if self._vectorised:
-                import numpy as np
-
-                up = np.ascontiguousarray(up, dtype=np.float64)
-                lo = np.ascontiguousarray(lo, dtype=np.float64)
-            self._env_upper, self._env_lower = up, lo
-
-    def cascade_for(
-        self,
-        query: Sequence[float],
-        query_envelope: Optional[Envelope] = None,
-    ) -> LowerBoundCascade:
-        """A cascade over this batch's configuration for one query."""
-        return LowerBoundCascade(
-            query, self.band, squared=self.squared,
-            use_reversed=self.use_reversed,
-            use_cumulative=self.use_cumulative,
-            use_improved=self.use_improved,
-            runtime=self.runtime, query_envelope=query_envelope,
+        self._provided = candidate_envelopes is not None
+        self._envelopes = (
+            self._stored(candidate_envelopes) if self._provided
+            else [None] * len(self.candidates) if self._held
+            else None
         )
 
-    def candidate_envelope(self, index: int):
-        """The ``(upper, lower)`` envelope of one candidate -- or its
-        per-channel :class:`Envelope` tuple for multivariate batches
-        -- or ``None`` when the reversed stage is off (no envelopes
-        kept)."""
-        if self._envelopes_nd is not None:
-            return self._envelopes_nd[index]
-        if self._env_upper is None:
-            return None
-        return self._env_upper[index], self._env_lower[index]
+    def _stored(self, provided) -> list:
+        """Precomputed envelopes in the form the bound stages take."""
+        count = len(self.candidates)
+        if self.dims is not None:
+            envs = [tuple(e) for e in provided]
+            if len(envs) != count:
+                raise ValueError(
+                    "candidate_envelopes must cover every candidate"
+                )
+            return envs
+        up, lo = provided
+        if len(up) != count or len(lo) != count:
+            raise ValueError("candidate_envelopes must cover every candidate")
+        if self._vectorised:
+            import numpy as np
+
+            up = np.ascontiguousarray(up, dtype=np.float64)
+            lo = np.ascontiguousarray(lo, dtype=np.float64)
+        return [Envelope(self.band, u, v) for u, v in zip(up, lo)]
+
+    def scan(
+        self,
+        query: Sequence[float],
+        query_index: Optional[int] = None,
+        on_close: Optional[Callable[[CascadeScan], None]] = None,
+    ) -> CascadeScan:
+        """A candidate-at-a-time view for callers that drive their own
+        loop (see :class:`CascadeScan`).  ``query_index`` declares that
+        ``query`` *is* candidate ``query_index``; ``on_close`` runs
+        once when the scan is closed."""
+        return CascadeScan(self, query, query_index, on_close)
 
     def nearest(
         self,
         query: Sequence[float],
-        query_envelope: Optional[Envelope] = None,
         query_index: Optional[int] = None,
         exclude: Optional[int] = None,
     ) -> BatchNearest:
         """Exact nearest candidate to ``query`` (see the class notes).
 
         ``query_index`` declares a self-join membership (``query`` is
-        ``candidates[query_index]``), enabling the symmetric
-        exact-distance cache when the batch was built with
-        ``share_exact=True``.  ``exclude`` skips one candidate index
-        (leave-one-out).
+        ``candidates[query_index]``): its envelope is reused and, when
+        the batch was built with ``share_exact=True``, its exact
+        distances feed the symmetric cache.  ``exclude`` skips one
+        candidate index (leave-one-out).
         """
-        cascade = self.cascade_for(query, query_envelope=query_envelope)
         admissible = [
             j for j in range(len(self.candidates)) if j != exclude
         ]
         if not admissible:
             raise ValueError("no candidates to search")
-        cost = "squared" if self.squared else "abs"
-        subset = [self.candidates[j] for j in admissible]
-        if self._vectorised:
-            pre_kim, pre_keogh = cascade.prefilter_bounds(subset)
-        elif self.dims is not None:
-            from .nd import lb_kim_nd
-
-            pre_kim = [
-                lb_kim_nd(cascade.query, c, cost=cost) for c in subset
-            ]
-            pre_keogh = None
-        else:
-            pre_kim = [
-                lb_kim(cascade.query, c, cost=cost) for c in subset
-            ]
-            pre_keogh = None
+        scan = self.scan(query, query_index)
+        kims, keoghs = self._prefilter(scan)
         if self.best_first:
+            if kims is None:
+                kims = {
+                    j: self._stages.kim(scan.query, self.candidates[j])
+                    for j in admissible
+                }
             # cheapest bound first; ties by original position keep the
             # scan deterministic
-            order = sorted(
-                range(len(admissible)),
-                key=lambda t: (pre_kim[t], admissible[t]),
-            )
+            order = sorted(admissible, key=lambda j: (kims[j], j))
         else:
-            order = range(len(admissible))
+            order = admissible
 
         best, best_idx = inf, -1
         known: Optional[Dict[int, float]] = None
@@ -808,27 +542,20 @@ class CascadeBatch:
                 if d < best or (d == best and (best_idx < 0 or j < best_idx)):
                     best, best_idx = d, j
 
-        stats = cascade.stats
-        for t in order:
-            j = admissible[t]
-            cached = known.get(j) if known is not None else None
-            if cached is not None:
-                d = cached
-                stats.candidates += 1
-                stats.reused_exact += 1
+        for j in order:
+            d = known.get(j) if known is not None else None
+            if d is not None:
+                scan.stats.candidates += 1
+                scan.stats.reused_exact += 1
                 _obs.incr("lb.candidates")
                 _obs.incr("lb.reused_exact")
             else:
-                d = cascade.distance(
-                    self.candidates[j], best_so_far=best,
-                    _kim=pre_kim[t],
-                    _keogh=None if pre_keogh is None else pre_keogh[t],
-                    _candidate_envelope=self.candidate_envelope(j),
+                d = scan._evaluate(
+                    j, best,
+                    None if kims is None else kims[j],
+                    None if keoghs is None else keoghs[j],
                 )
-                if (
-                    d != inf
-                    and known is not None
-                ):
+                if d != inf and known is not None:
                     known[j] = d
                     self._cache.setdefault(j, {})[query_index] = d
             # smallest original index among the equally nearest: the
@@ -837,11 +564,35 @@ class CascadeBatch:
                 best, best_idx = d, j
         if best_idx < 0:
             # all infinite distances (possible only with inf inputs);
-            # mirror :meth:`LowerBoundCascade.nearest`'s fallback on
-            # the first admissible candidate
+            # fall back to the first admissible candidate
             best_idx = admissible[0]
-            best = cascade._exact_unpruned(self.candidates[best_idx])
+            best = self._stages.exact(
+                scan.query, scan.envelope, self.candidates[best_idx], inf,
+            ).distance
         return BatchNearest(
-            index=best_idx, distance=best, stats=stats,
-            artifacts_reused=cascade.artifacts_reused,
+            index=best_idx, distance=best, stats=scan.stats,
+            artifacts_reused=scan.artifacts_reused,
         )
+
+    def _prefilter(self, scan: CascadeScan):
+        """Full Kim and Keogh bounds for every candidate, from two
+        stacked kernel calls -- on vectorised backends over held
+        univariate candidates only; ``(None, None)`` otherwise."""
+        if not (self._vectorised and self.dims is None and self._held):
+            return None, None
+        kernels = self.runtime.kernels()
+        if self._stack is None:
+            import numpy as np
+
+            self._stack = np.ascontiguousarray(
+                self.candidates, dtype=np.float64
+            )
+        cost = "squared" if self.squared else "abs"
+        _obs.incr("lb.chunk_prefilter")
+        kims = kernels.lb_kim(scan.query, self._stack, cost=cost)
+        _obs.incr("lb.chunk_prefilter")
+        keoghs = kernels.lb_keogh_chunk(
+            scan.envelope.upper, scan.envelope.lower, self._stack,
+            squared=self.squared,
+        )
+        return kims.tolist(), keoghs.tolist()

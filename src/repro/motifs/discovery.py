@@ -18,7 +18,7 @@ from math import inf
 from typing import List, Optional, Sequence
 
 from ..core.validate import validate_series
-from ..lowerbounds.cascade import LowerBoundCascade
+from ..lowerbounds.cascade import CascadeBatch
 from ..preprocess.normalize import znorm, znorm_nd
 from ..preprocess.sliding import sliding_windows
 from ..runtime import Runtime
@@ -143,32 +143,25 @@ def find_motif(
                     best = d
                     best_pair = (i, j)
     else:
-        searcher = (
-            index.searcher(runtime=rt) if index is not None else None
+        # the index serves stored envelopes and adds LB_Improved;
+        # without one, every window's envelope is built once and kept
+        cascade = (
+            index.searcher(runtime=rt) if index is not None
+            else CascadeBatch(
+                series, band, use_improved=False, best_first=False,
+                runtime=rt,
+            )
         )
         for i in range(k):
-            if searcher is not None:
-                scan = searcher.scan(series[i], query_index=i)
-                distance_to = scan.distance
-            else:
-                scan = None
-                cascade = LowerBoundCascade(series[i], band, runtime=rt)
-                distance_to = (
-                    lambda j, bound, _c=cascade:
-                    _c.distance(series[j], best_so_far=bound)
-                )
-            try:
+            with cascade.scan(series[i], query_index=i) as scan:
                 for j in range(i + 1, k):
                     if starts[j] - starts[i] < exclusion:
                         continue
                     calls += 1
-                    d = distance_to(j, best)
+                    d = scan.distance(j, best)
                     if d < best:
                         best = d
                         best_pair = (i, j)
-            finally:
-                if scan is not None:
-                    scan.close()
     if best_pair[0] < 0:
         raise ValueError("no admissible window pairs")
     return Motif(

@@ -9,12 +9,11 @@ that carries the full execution context, and a single resolution
 point, :meth:`Runtime.resolve`, that merges
 
 1. a per-call ``runtime=`` argument (wins outright),
-2. per-call legacy kwargs (override individual fields, deprecated),
-3. the process default set via :func:`set_default_runtime` or the
+2. the process default set via :func:`set_default_runtime` or the
    scoped :func:`use_runtime` context manager,
-4. environment seeding (``REPRO_WORKERS``, ``REPRO_BACKEND``,
+3. environment seeding (``REPRO_WORKERS``, ``REPRO_BACKEND``,
    ``REPRO_EXECUTOR``, ``REPRO_CHUNKSIZE``),
-5. the built-in serial pure-python default.
+4. the built-in serial pure-python default.
 
 Consumers (classification, clustering, search, anomaly/motif
 discovery, the batch engine itself) accept ``runtime=`` and delegate
@@ -37,7 +36,6 @@ their own explicit serial pure-python ``Runtime``, which
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Iterator, Optional
@@ -370,31 +368,3 @@ def use_runtime(
     finally:
         set_default_runtime(previous)
 
-
-# -- the shared deprecation shim -------------------------------------------
-
-
-def _resolve_legacy(
-    where: str, runtime: Optional[Runtime] = None, **legacy
-) -> Runtime:
-    """Resolve an entry point's legacy execution kwargs into a Runtime.
-
-    Every consumer entry point funnels its deprecated ``workers=`` /
-    ``backend=`` / ``executor=`` / ``chunksize=`` keywords through
-    this single helper: one :class:`DeprecationWarning` per call (not
-    per kwarg) naming the replacement, then the standard
-    :meth:`Runtime.resolve` merge -- so legacy calls remain
-    bit-identical to their ``runtime=`` equivalents.
-    """
-    passed = {k: v for k, v in legacy.items() if v is not None}
-    if passed:
-        names = ", ".join(f"{k}=" for k in sorted(passed))
-        ctor = ", ".join(f"{k}=..." for k in sorted(passed))
-        warnings.warn(
-            f"{where}: the {names} keyword(s) are deprecated; pass "
-            f"runtime=repro.runtime.Runtime({ctor}) instead, or set a "
-            "process default with repro.runtime.use_runtime()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return Runtime.resolve(runtime, **passed)

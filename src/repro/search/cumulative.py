@@ -24,7 +24,7 @@ from ..core.validate import validate_pair
 from ..core.window import Window
 from ..lowerbounds.envelope import Envelope, envelope
 from ..obs import trace as _obs
-from ..runtime import Runtime, _resolve_legacy
+from ..runtime import Runtime
 
 
 def suffix_gap_bounds(
@@ -68,7 +68,6 @@ def cdtw_cumulative_abandon(
     threshold: float,
     y_envelope: Optional[Envelope] = None,
     squared: bool = True,
-    backend: Optional[str] = None,
     runtime: Optional[Runtime] = None,
 ) -> DtwResult:
     """Banded DTW with cumulative-suffix-bound early abandoning.
@@ -96,13 +95,8 @@ def cdtw_cumulative_abandon(
         cells and abandon decisions are bit-identical on every
         backend: the suffix bounds themselves are computed in the
         same accumulation order.
-    backend:
-        Deprecated override of the runtime's backend (emits a
-        :class:`DeprecationWarning`).
     """
-    rt = _resolve_legacy(
-        "cdtw_cumulative_abandon", runtime, backend=backend
-    )
+    rt = Runtime.resolve(runtime)
     validate_pair(x, y)
     if len(x) != len(y):
         raise ValueError("cumulative abandoning requires equal lengths")

@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 from ..core.cdtw import cdtw
 from ..core.euclidean import euclidean
 from ..core.fastdtw import fastdtw
-from ..lowerbounds.cascade import CascadeStats, LowerBoundCascade
+from ..lowerbounds.cascade import CascadeBatch, CascadeStats
 from ..obs import trace as _obs
-from ..runtime import Runtime, _resolve_legacy
+from ..runtime import Runtime
 
 STRATEGIES = ("cdtw", "cdtw+lb", "fastdtw", "euclidean")
 
@@ -54,9 +54,6 @@ def nearest_neighbor(
     window: Optional[float] = None,
     radius: int = 1,
     runtime: Optional[Runtime] = None,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    executor=None,
     index=None,
 ) -> NnResult:
     """Find the candidate nearest to ``query``.
@@ -84,9 +81,6 @@ def nearest_neighbor(
         runs serially: its best-so-far pruning threads a threshold
         through the scan and is inherently order-dependent (the
         runtime's backend still applies to its DP stages).
-    workers, backend, executor:
-        Deprecated per-knob overrides of the corresponding ``runtime``
-        fields (each call emits a :class:`DeprecationWarning`).
     index:
         Optional ahead-of-time index of ``candidates`` (built by
         ``repro.index``); ``"cdtw+lb"`` only.  The index must prove --
@@ -102,10 +96,7 @@ def nearest_neighbor(
     -------
     NnResult
     """
-    rt = _resolve_legacy(
-        "nearest_neighbor", runtime, workers=workers, backend=backend,
-        executor=executor,
-    )
+    rt = Runtime.resolve(runtime)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
     if not candidates:
@@ -200,7 +191,8 @@ def _nearest_neighbor_impl(
                 best, best_idx = result.distance, idx
         return NnResult(best_idx, best, strategy, cells=cells)
 
-    # strategy == "cdtw+lb"
+    # strategy == "cdtw+lb": the index serves stored envelopes to a
+    # best-first scan with LB_Improved; without one, the in-order scan
     if index is not None:
         index.require(
             kind="collection", band=band_cells_, normalize=False,
@@ -208,16 +200,16 @@ def _nearest_neighbor_impl(
             dims=len(query[0]) if nd else 1,
         )
         index.verify_collection(candidates)
-        hit = index.searcher(runtime=rt).nearest(query)
-        return NnResult(
-            hit.index, hit.distance, strategy,
-            cells=hit.stats.cells, stats=hit.stats,
+        cascade = index.searcher(runtime=rt)
+    else:
+        cascade = CascadeBatch(
+            candidates, band_cells_, use_improved=False, best_first=False,
+            runtime=rt,
         )
-    cascade = LowerBoundCascade(query, band_cells_, runtime=rt)
-    best_idx, best = cascade.nearest(candidates)
+    hit = cascade.nearest(query)
     return NnResult(
-        best_idx, best, strategy,
-        cells=cascade.stats.cells, stats=cascade.stats,
+        hit.index, hit.distance, strategy,
+        cells=hit.stats.cells, stats=hit.stats,
     )
 
 

@@ -16,12 +16,13 @@ prunes nearly every window, something FastDTW cannot participate in.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from math import inf
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.validate import validate_series
-from ..lowerbounds.cascade import CascadeStats, LowerBoundCascade
+from ..lowerbounds.cascade import CascadeBatch, CascadeScan, CascadeStats
 from ..preprocess.normalize import znorm, znorm_nd
 from ..runtime import Runtime
 
@@ -40,6 +41,28 @@ def _check_nd(query, stream) -> bool:
             "multivariate (length, dims) series"
         )
     return query_nd
+
+
+class _Windows(abc.Sequence):
+    """The (z-normalised) length-``m`` windows of a stream, as a view:
+    each is computed on access and never kept, so a cascade over it
+    holds one window at a time."""
+
+    def __init__(self, stream, m: int, step: int, normalize: bool,
+                 nd: bool):
+        self.stream, self.m, self.normalize, self.nd = (
+            stream, m, normalize, nd
+        )
+        self.starts = range(0, len(stream) - m + 1, step)
+        self.prepare = znorm_nd if nd else znorm
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, j: int):
+        start = self.starts[j]
+        window = self.stream[start:start + self.m]
+        return self.prepare(window) if self.normalize else list(window)
 
 
 @dataclass(frozen=True)
@@ -132,44 +155,21 @@ def subsequence_search(
     else:
         q = znorm(query) if normalize else list(query)
 
-    if index is not None:
-        index.require(
-            kind="windows", band=band, window=m, step=step,
-            normalize=normalize,
-            dims=len(query[0]) if nd else 1,
-        )
-        index.verify_stream(stream)
-        hit = index.searcher(runtime=rt).nearest(q)
-        return SubsequenceMatch(
-            index.starts[hit.index], hit.distance, len(index), hit.stats,
-        )
-
-    if rt.parallel:
-        starts, distances, cells = _batched_window_distances(
-            q, stream, band, step, normalize, rt, nd
-        )
+    windows = _Windows(stream, m, step, normalize, nd)
+    if index is None and rt.parallel:
+        distances, cells = _batched_window_distances(q, windows, band, rt)
         from ..batch.engine import argmin_first
 
         best_idx, best = argmin_first(distances)
-        stats = _full_compute_stats(len(starts), cells)
-        return SubsequenceMatch(starts[best_idx], best, len(starts), stats)
-
-    cascade = LowerBoundCascade(q, band, runtime=rt)
-
-    best_start = 0
-    best = inf
-    windows = 0
-    for start in range(0, len(stream) - m + 1, step):
-        window = stream[start:start + m]
-        if nd:
-            w = znorm_nd(window) if normalize else list(window)
-        else:
-            w = znorm(window) if normalize else list(window)
-        windows += 1
-        d = cascade.distance(w, best_so_far=best)
-        if d < best:
-            best, best_start = d, start
-    return SubsequenceMatch(best_start, best, windows, cascade.stats)
+        stats = _full_compute_stats(len(windows), cells)
+        return SubsequenceMatch(
+            windows.starts[best_idx], best, len(windows), stats,
+        )
+    cascade = _cascade(index, windows, band, rt)
+    hit = cascade.nearest(q)
+    return SubsequenceMatch(
+        windows.starts[hit.index], hit.distance, len(windows), hit.stats,
+    )
 
 
 def subsequence_search_topk(
@@ -229,70 +229,53 @@ def subsequence_search_topk(
     else:
         q = znorm(query) if normalize else list(query)
 
-    if index is not None:
-        index.require(
-            kind="windows", band=band, window=m, step=step,
-            normalize=normalize,
-            dims=len(query[0]) if nd else 1,
+    windows = _Windows(stream, m, step, normalize, nd)
+    if index is None and rt.parallel:
+        distances, cells = _batched_window_distances(q, windows, band, rt)
+        stats = _full_compute_stats(len(windows), cells)
+        return _topk_choose(
+            sorted(zip(distances, windows.starts)), k, exclusion,
+            len(windows), stats,
         )
-        index.verify_stream(stream)
-        with index.searcher(runtime=rt).scan(q) as scan:
-            return _topk_select(
-                lambda j, bound: scan.distance(j, best_so_far=bound),
-                index.starts, k, step, exclusion, scan.stats,
-            )
+    cascade = _cascade(index, windows, band, rt)
+    with cascade.scan(q) as scan:
+        return _topk_select(scan, windows.starts, k, step, exclusion)
 
-    if rt.parallel:
-        starts, distances, cells = _batched_window_distances(
-            q, stream, band, step, normalize, rt, nd
+
+def _cascade(index, windows: _Windows, band: int, rt: Runtime):
+    """The scan's cascade: the verified index's searcher (stored
+    windows and envelopes, best-first, LB_Improved), else the in-order
+    cascade over the stream's windows as a view."""
+    if index is None:
+        return CascadeBatch(
+            windows, band, use_improved=False, best_first=False,
+            runtime=rt,
         )
-        windows = len(starts)
-        stats = _full_compute_stats(windows, cells)
-        scored = sorted(zip(distances, starts))
-        chosen: List[SubsequenceMatch] = []
-        taken: List[int] = []
-        for d, start in scored:
-            if len(chosen) >= k:
-                break
-            if any(abs(start - t) < exclusion for t in taken):
-                continue
-            taken.append(start)
-            chosen.append(SubsequenceMatch(start, d, windows, stats))
-        return chosen
-
-    cascade = LowerBoundCascade(q, band, runtime=rt)
-    starts = list(range(0, len(stream) - m + 1, step))
-
-    def window_distance(j: int, bound: float) -> float:
-        w = stream[starts[j]:starts[j] + m]
-        if nd:
-            w = znorm_nd(w) if normalize else list(w)
-        else:
-            w = znorm(w) if normalize else list(w)
-        return cascade.distance(w, best_so_far=bound)
-
-    return _topk_select(
-        window_distance, starts, k, step, exclusion, cascade.stats,
+    index.require(
+        kind="windows", band=band, window=windows.m,
+        step=windows.starts.step, normalize=windows.normalize,
+        dims=len(windows.stream[0]) if windows.nd else 1,
     )
+    index.verify_stream(windows.stream)
+    return index.searcher(runtime=rt)
 
 
 def _topk_select(
-    distance_fn,
+    scan: CascadeScan,
     starts: Sequence[int],
     k: int,
     step: int,
     exclusion: int,
-    stats: CascadeStats,
 ) -> List[SubsequenceMatch]:
     """The pruned scoring + greedy selection behind top-k search.
 
-    ``distance_fn(j, bound)`` must return window ``j``'s exact
-    distance, or ``inf`` exactly when it provably exceeds ``bound``
-    (the cascade contract).  Exact distance for every window, pruned
-    against a conservative threshold: each of the final k matches
-    suppresses at most 2*(exclusion/step) overlapping windows, so any
-    window ranked worse than the heap bound below provably cannot
-    reach the final top-k and may be pruned.
+    ``scan.distance(j, bound)`` returns window ``j``'s exact distance,
+    or ``inf`` exactly when it provably exceeds ``bound`` (the cascade
+    contract).  Exact distance for every window, pruned against a
+    conservative threshold: each of the final k matches suppresses at
+    most 2*(exclusion/step) overlapping windows, so any window ranked
+    worse than the heap bound below provably cannot reach the final
+    top-k and may be pruned.
     """
     import heapq
 
@@ -301,7 +284,7 @@ def _topk_select(
     worst_heap: List[float] = []  # max-heap via negatives
     scored: List[Tuple[float, int]] = []
     for j, start in enumerate(starts):
-        d = distance_fn(j, kth_best)
+        d = scan.distance(j, best_so_far=kth_best)
         if d == inf:
             continue
         scored.append((d, start))
@@ -309,8 +292,13 @@ def _topk_select(
         if len(worst_heap) > heap_bound:
             heapq.heappop(worst_heap)
             kth_best = -worst_heap[0]
-
     scored.sort()
+    return _topk_choose(scored, k, exclusion, len(starts), scan.stats)
+
+
+def _topk_choose(scored, k, exclusion, windows, stats):
+    """Greedy best-first selection of ``k`` non-overlapping matches
+    from ``(distance, start)`` pairs sorted ascending."""
     chosen: List[SubsequenceMatch] = []
     taken: List[int] = []
     for d, start in scored:
@@ -319,52 +307,33 @@ def _topk_select(
         if any(abs(start - t) < exclusion for t in taken):
             continue
         taken.append(start)
-        chosen.append(
-            SubsequenceMatch(start, d, len(starts), stats)
-        )
+        chosen.append(SubsequenceMatch(start, d, windows, stats))
     return chosen
 
 
 def _batched_window_distances(
     q: Sequence[float],
-    stream: Sequence[float],
+    windows: _Windows,
     band: int,
-    step: int,
-    normalize: bool,
     rt: Runtime,
-    nd: bool = False,
-) -> Tuple[List[int], List[float], int]:
+) -> Tuple[List[float], int]:
     """Exact cDTW of ``q`` against every stream window, batched.
 
     Materialises the (z-normalised) windows and computes each exact
     distance as one batch-engine job (the ``cdtw_d`` measure for
-    multivariate streams).  Returns the window start offsets, their
-    distances in offset order, and the DP cell total.
+    multivariate streams).  Returns the distances in offset order and
+    the DP cell total.
     """
     from ..batch.engine import batch_distances
 
-    m = len(q)
-    starts = list(range(0, len(stream) - m + 1, step))
-    if nd:
-        windows = [
-            znorm_nd(stream[s:s + m]) if normalize
-            else list(stream[s:s + m])
-            for s in starts
-        ]
-    else:
-        windows = [
-            znorm(stream[s:s + m]) if normalize
-            else list(stream[s:s + m])
-            for s in starts
-        ]
     result = batch_distances(
-        [list(q)] + windows,
+        [list(q)] + list(windows),
         pairs=[(0, i + 1) for i in range(len(windows))],
-        measure="cdtw_d" if nd else "cdtw",
+        measure="cdtw_d" if windows.nd else "cdtw",
         band=band,
         runtime=rt,
     )
-    return starts, list(result.distances), result.cells
+    return list(result.distances), result.cells
 
 
 def _full_compute_stats(windows: int, cells: int) -> CascadeStats:

@@ -2,9 +2,10 @@
 
 ``distance_matrix``, 1-NN/LOOCV classification, ``nearest_neighbor``
 and the clustering consumers (linkage matrices, DBA, k-means) all
-accept ``workers=N`` now; each must return *identical* results --
-values, cell accounting, labels, merge structures, tie-breaks -- for
-any worker count, because ``workers=1`` is the seed behaviour.
+accept ``runtime=Runtime(workers=N)``; each must return *identical*
+results -- values, cell accounting, labels, merge structures,
+tie-breaks -- for any worker count, because ``workers=1`` is the
+serial reference.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.cluster.kmeans import dtw_kmeans
 from repro.cluster.linkage import linkage, linkage_from_series
 from repro.core.matrix import distance_matrix
 from repro.core.measures import MEASURES, ND_MEASURES
+from repro.runtime import Runtime
 from repro.search.nn_search import nearest_neighbor
 from tests.conftest import make_series, make_vectors
 
@@ -57,7 +59,8 @@ class TestDistanceMatrix:
             series, measure=measure, **MATRIX_KWARGS[measure]
         )
         parallel = distance_matrix(
-            series, measure=measure, workers=2, **MATRIX_KWARGS[measure]
+            series, measure=measure, runtime=Runtime(workers=2),
+            **MATRIX_KWARGS[measure],
         )
         assert serial == parallel  # values, measure and cells
 
@@ -76,7 +79,9 @@ class TestClassification:
         series, labels = labelled_set()
         queries = [make_series(24, seed=900 + i) for i in range(3)]
         serial = OneNearestNeighbor(spec).fit(series, labels)
-        parallel = OneNearestNeighbor(spec, workers=2).fit(series, labels)
+        parallel = OneNearestNeighbor(
+            spec, runtime=Runtime(workers=2)
+        ).fit(series, labels)
         assert serial.predict(queries) == parallel.predict(queries)
         assert serial.cells_evaluated == parallel.cells_evaluated
 
@@ -90,7 +95,9 @@ class TestClassification:
         query = [v + 0.01 for v in base]
         spec = DistanceSpec("dtw")
         serial = OneNearestNeighbor(spec).fit(series, labels)
-        parallel = OneNearestNeighbor(spec, workers=3).fit(series, labels)
+        parallel = OneNearestNeighbor(
+            spec, runtime=Runtime(workers=3)
+        ).fit(series, labels)
         assert serial.predict_one(query) == "first"
         assert parallel.predict_one(query) == "first"
 
@@ -99,16 +106,16 @@ class TestClassification:
         query = make_series(24, seed=999)
         spec = DistanceSpec("cdtw", window=0.2)
         serial = KNearestNeighbors(spec, k=3).fit(series, labels)
-        parallel = KNearestNeighbors(spec, k=3, workers=2).fit(
-            series, labels
-        )
+        parallel = KNearestNeighbors(
+            spec, k=3, runtime=Runtime(workers=2)
+        ).fit(series, labels)
         assert serial.predict_one(query) == parallel.predict_one(query)
 
     def test_loocv_error(self):
         series, labels = labelled_set(count=6)
         spec = DistanceSpec("cdtw", window=0.1)
         assert loocv_error(series, labels, spec) == loocv_error(
-            series, labels, spec, workers=2
+            series, labels, spec, runtime=Runtime(workers=2)
         )
 
     def test_best_window_search(self):
@@ -119,7 +126,7 @@ class TestClassification:
         )
         parallel = best_window_search(
             series, labels, windows=windows, use_lower_bounds=False,
-            workers=2,
+            runtime=Runtime(workers=2),
         )
         assert serial == parallel
 
@@ -129,7 +136,9 @@ class TestClassification:
         series, labels = labelled_set(count=6)
         spec = DistanceSpec("cdtw", window=0.1, use_lower_bounds=True)
         serial = OneNearestNeighbor(spec).fit(series, labels)
-        parallel = OneNearestNeighbor(spec, workers=2).fit(series, labels)
+        parallel = OneNearestNeighbor(
+            spec, runtime=Runtime(workers=2)
+        ).fit(series, labels)
         query = make_series(24, seed=901)
         assert serial.predict_one(query) == parallel.predict_one(query)
         assert serial.cells_evaluated == parallel.cells_evaluated
@@ -151,8 +160,8 @@ class TestNnSearch:
         serial = nearest_neighbor(query, candidates, strategy=strategy,
                                   **kwargs)
         parallel = nearest_neighbor(
-            query, candidates, strategy=strategy, workers=workers,
-            **kwargs,
+            query, candidates, strategy=strategy,
+            runtime=Runtime(workers=workers), **kwargs,
         )
         assert serial.index == parallel.index
         assert serial.distance == parallel.distance
@@ -164,7 +173,8 @@ class TestNnSearch:
         serial = nearest_neighbor(query, candidates, strategy="cdtw+lb",
                                   band=3)
         parallel = nearest_neighbor(
-            query, candidates, strategy="cdtw+lb", band=3, workers=4
+            query, candidates, strategy="cdtw+lb", band=3,
+            runtime=Runtime(workers=4),
         )
         assert serial.index == parallel.index
         assert serial.distance == parallel.distance
@@ -174,7 +184,8 @@ class TestNnSearch:
     def test_workers_validation(self):
         with pytest.raises(ValueError, match="workers"):
             nearest_neighbor(
-                [1.0, 2.0], [[1.0, 2.0]], strategy="euclidean", workers=0
+                [1.0, 2.0], [[1.0, 2.0]], strategy="euclidean",
+                runtime=Runtime(workers=0),
             )
 
 
@@ -188,24 +199,27 @@ class TestClustering:
         for workers in (1, 2):
             merges = linkage_from_series(
                 series, measure="cdtw", window=0.2, method="average",
-                workers=workers,
+                runtime=Runtime(workers=workers),
             )
             assert merges == manual
 
     def test_dba_workers_invariant(self):
         series = [make_series(20, seed=300 + i) for i in range(5)]
-        assert dba(series, band=3) == dba(series, band=3, workers=2)
-        assert dba(series) == dba(series, workers=2)  # full DTW too
+        parallel = Runtime(workers=2)
+        assert dba(series, band=3) == dba(series, band=3, runtime=parallel)
+        assert dba(series) == dba(series, runtime=parallel)  # full DTW too
 
     def test_kmeans_workers_invariant(self):
         series = [make_series(16, seed=400 + i) for i in range(8)]
         serial = dtw_kmeans(series, 3, band=2, seed=7)
-        parallel = dtw_kmeans(series, 3, band=2, seed=7, workers=2)
+        parallel = dtw_kmeans(
+            series, 3, band=2, seed=7, runtime=Runtime(workers=2)
+        )
         assert serial == parallel
 
     def test_workers_validation(self):
         series = [make_series(10, seed=1) for _ in range(3)]
         with pytest.raises(ValueError, match="workers"):
-            dba(series, workers=0)
+            dba(series, runtime=Runtime(workers=0))
         with pytest.raises(ValueError, match="workers"):
-            dtw_kmeans(series, 2, workers=0)
+            dtw_kmeans(series, 2, runtime=Runtime(workers=0))

@@ -120,8 +120,11 @@ class TestKernelContracts:
         env = ks.envelope(x, 2)
         assert len(env.upper) == len(env.lower) == 16
         kim = ks.lb_kim(x, (y,), cost="squared")
-        keogh = ks.lb_keogh(env, (y,))
-        rev = ks.lb_keogh_reversed(x, (y,), 2)
+        keogh = ks.lb_keogh_chunk(env.upper, env.lower, (y,))
+        # the reversed bound: the same kernel, query against the
+        # candidate's envelope
+        up, lo = ks.envelope_chunk((y,), 2)
+        rev = ks.lb_keogh_chunk(up[0], lo[0], (x,))
         assert len(kim) == len(keogh) == len(rev) == 1
         from repro.core.cdtw import cdtw
 

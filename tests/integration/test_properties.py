@@ -15,7 +15,7 @@ from repro.cluster.linkage import linkage
 from repro.core.cdtw import cdtw
 from repro.core.dtw import dtw
 from repro.core.multivariate import cdtw_nd, dtw_nd, fastdtw_nd
-from repro.lowerbounds.cascade import LowerBoundCascade
+from repro.lowerbounds.cascade import CascadeBatch
 from repro.preprocess.normalize import znorm
 from repro.search.nn_search import nearest_neighbor
 
@@ -57,10 +57,10 @@ def test_cascade_search_matches_brute_force(args):
 @given(workloads)
 def test_cascade_distance_exact_or_inf(args):
     query, candidates, band = args
-    cascade = LowerBoundCascade(query, band)
-    for c in candidates:
+    scan = CascadeBatch(candidates, band).scan(query)
+    for j, c in enumerate(candidates):
         true = cdtw(query, c, band=band).distance
-        got = cascade.distance(c, best_so_far=true * 0.75)
+        got = scan.distance(j, best_so_far=true * 0.75)
         assert got == math.inf or math.isclose(
             got, true, rel_tol=1e-9, abs_tol=1e-9
         )

@@ -1,84 +1,90 @@
-"""Unit tests for the lower-bound cascade."""
+"""Unit tests for the lower-bound cascade's stage list."""
 
 import math
 
 import pytest
 
 from repro.core.cdtw import cdtw
-from repro.lowerbounds.cascade import CascadeStats, LowerBoundCascade
+from repro.lowerbounds.cascade import CascadeBatch, CascadeStats
 from tests.conftest import make_series
+
+
+def plain(candidates, band, **flags):
+    """The classic in-order cascade: no LB_Improved, no reordering."""
+    return CascadeBatch(
+        candidates, band, use_improved=False, best_first=False, **flags
+    )
 
 
 class TestCascadeDistance:
     def test_exact_when_not_pruned(self):
         q = make_series(20, 1)
         c = make_series(20, 2)
-        cascade = LowerBoundCascade(q, band=3)
-        d = cascade.distance(c)  # best_so_far = inf, nothing prunes
+        scan = plain([c], band=3).scan(q)
+        d = scan.distance(0)  # best_so_far = inf, nothing prunes
         assert d == pytest.approx(cdtw(q, c, band=3).distance)
 
     def test_pruned_returns_inf(self):
         q = [0.0] * 20
         c = [100.0] * 20
-        cascade = LowerBoundCascade(q, band=2)
-        assert cascade.distance(c, best_so_far=1.0) == math.inf
+        scan = plain([c], band=2).scan(q)
+        assert scan.distance(0, best_so_far=1.0) == math.inf
 
     def test_pruning_is_sound(self):
         # pruned candidates must truly exceed the threshold
         q = make_series(15, 3)
-        cascade = LowerBoundCascade(q, band=2)
-        for seed in range(20):
-            c = make_series(15, seed + 2000)
+        cands = [make_series(15, seed + 2000) for seed in range(20)]
+        scan = plain(cands, band=2).scan(q)
+        for j, c in enumerate(cands):
             true = cdtw(q, c, band=2).distance
             threshold = true * 0.9
-            d = cascade.distance(c, best_so_far=threshold)
+            d = scan.distance(j, best_so_far=threshold)
             if d == math.inf:
                 assert true > threshold
 
     def test_length_mismatch_rejected(self):
-        cascade = LowerBoundCascade([1.0, 2.0], band=1)
+        batch = plain([[1.0]], band=1)
         with pytest.raises(ValueError):
-            cascade.distance([1.0])
+            batch.scan([1.0, 2.0])
 
     def test_negative_band_rejected(self):
         with pytest.raises(ValueError):
-            LowerBoundCascade([1.0, 2.0], band=-1)
+            plain([[1.0, 2.0]], band=-1)
 
     def test_stats_accumulate(self):
         q = make_series(12, 5)
-        cascade = LowerBoundCascade(q, band=1)
-        for seed in range(8):
-            cascade.distance(make_series(12, seed + 3000),
-                             best_so_far=0.01)
-        s = cascade.stats
+        cands = [make_series(12, seed + 3000) for seed in range(8)]
+        scan = plain(cands, band=1).scan(q)
+        for j in range(len(cands)):
+            scan.distance(j, best_so_far=0.01)
+        s = scan.stats
         assert s.candidates == 8
         assert s.pruned_total() + s.full_dtw == 8
 
     def test_cells_tracked(self):
         q = make_series(12, 6)
-        cascade = LowerBoundCascade(q, band=2)
-        cascade.distance(make_series(12, 7))
-        assert cascade.stats.cells > 0
+        scan = plain([make_series(12, 7)], band=2).scan(q)
+        scan.distance(0)
+        assert scan.stats.cells > 0
 
 
 class TestCascadeNearest:
     def test_matches_brute_force(self):
         q = make_series(16, 11)
         candidates = [make_series(16, s + 100) for s in range(12)]
-        cascade = LowerBoundCascade(q, band=2)
-        idx, dist = cascade.nearest(candidates)
+        hit = plain(candidates, band=2).nearest(q)
 
         brute = min(
             range(12), key=lambda i: cdtw(q, candidates[i], band=2).distance
         )
-        assert idx == brute
-        assert dist == pytest.approx(
+        assert hit.index == brute
+        assert hit.distance == pytest.approx(
             cdtw(q, candidates[brute], band=2).distance
         )
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            LowerBoundCascade([1.0], band=0).nearest([])
+            plain([], band=0)
 
     def test_prunes_most_on_easy_workload(self):
         # one near-identical candidate among far-away ones: after the
@@ -86,10 +92,9 @@ class TestCascadeNearest:
         q = make_series(24, 13)
         near = [v + 0.01 for v in q]
         far = [[v + 50.0 for v in make_series(24, s)] for s in range(20)]
-        cascade = LowerBoundCascade(q, band=2)
-        idx, _ = cascade.nearest([near] + far)
-        assert idx == 0
-        assert cascade.stats.prune_rate() > 0.5
+        hit = plain([near] + far, band=2).nearest(q)
+        assert hit.index == 0
+        assert hit.stats.prune_rate() > 0.5
 
 
 class TestCascadeStats:
@@ -98,7 +103,7 @@ class TestCascadeStats:
 
     def test_without_reversed_stage(self):
         q = make_series(14, 15)
-        cascade = LowerBoundCascade(q, band=1, use_reversed=False)
-        d = cascade.distance(make_series(14, 16))
+        scan = plain([make_series(14, 16)], band=1, use_reversed=False).scan(q)
+        d = scan.distance(0)
         assert math.isfinite(d)
-        assert cascade.stats.pruned_keogh_reversed == 0
+        assert scan.stats.pruned_keogh_reversed == 0

@@ -8,16 +8,14 @@ plain in-order serial scan, with the documented min-index tie-break.
 """
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import astuple
 from math import inf
 
 import pytest
 
-from repro.lowerbounds.cascade import (
-    BatchNearest,
-    CascadeBatch,
-    LowerBoundCascade,
-)
+from repro.core.cdtw import cdtw
+from repro.lowerbounds.cascade import BatchNearest, CascadeBatch
 from repro.runtime import Runtime
 from tests.conftest import make_series
 
@@ -27,15 +25,13 @@ QUERIES = [make_series(24, seed=200 + i) for i in range(4)]
 
 
 def serial_nearest(query, candidates, band, exclude=None):
-    """The reference: plain in-order scan, first-wins tie-break."""
-    cascade = LowerBoundCascade(
-        query, band, runtime=Runtime(backend="python")
-    )
+    """The reference: exact cDTW to every candidate in order,
+    first-wins tie-break."""
     best, best_idx = inf, -1
     for j, cand in enumerate(candidates):
         if j == exclude:
             continue
-        d = cascade.distance(cand, best_so_far=best)
+        d = cdtw(query, cand, band=band).distance
         if d < best:
             best, best_idx = d, j
     return best_idx, best
@@ -167,3 +163,127 @@ class TestErrors:
         batch = CascadeBatch([CANDS[0]], BAND)
         with pytest.raises(ValueError, match="no candidates"):
             batch.nearest(QUERIES[0], exclude=0)
+
+
+class _CountingView(Sequence):
+    """A non-list candidate sequence that counts element reads."""
+
+    def __init__(self, rows):
+        self.rows, self.reads = rows, 0
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return list(self.rows[j])
+
+
+@pytest.fixture
+def envelope_builds(monkeypatch):
+    """Every envelope the (python-backend) cascade builds, in order."""
+    import repro.lowerbounds.cascade as cascade_module
+
+    builds = []
+    real = cascade_module.envelope
+
+    def counting(x, band):
+        builds.append(list(x))
+        return real(x, band)
+
+    monkeypatch.setattr(cascade_module, "envelope", counting)
+    return builds
+
+
+def reached_reversed(stats):
+    return stats.candidates - stats.pruned_kim - stats.pruned_keogh
+
+
+class TestLazyArtifacts:
+    """Candidate envelopes are built only when the reversed stage asks,
+    kept for the life of a batch that holds its candidates, and never
+    kept for a view."""
+
+    PY = Runtime(backend="python")
+
+    def test_one_shot_nearest_builds_envelopes_on_demand(
+        self, envelope_builds
+    ):
+        from repro.search.nn_search import nearest_neighbor
+
+        hit = nearest_neighbor(
+            QUERIES[0], CANDS, "cdtw+lb", band=BAND, runtime=self.PY,
+        )
+        reached = reached_reversed(hit.stats)
+        assert reached < len(CANDS)  # some pruned before the reversed stage
+        # the query's envelope, then one per candidate that got there
+        assert envelope_builds[0] == QUERIES[0]
+        assert len(envelope_builds) == 1 + reached
+
+    def test_held_candidates_keep_their_envelopes(self, envelope_builds):
+        batch = CascadeBatch(
+            CANDS, BAND, use_improved=False, best_first=False,
+            runtime=self.PY,
+        )
+        first = batch.nearest(QUERIES[0])
+        built = len(envelope_builds)
+        again = batch.nearest(QUERIES[0])
+        assert (again.index, again.distance) == (first.index, first.distance)
+        assert len(envelope_builds) == built + 1  # the query's only
+
+    def test_self_join_query_reuses_its_candidate_envelope(
+        self, envelope_builds
+    ):
+        batch = CascadeBatch(CANDS, BAND, runtime=self.PY)
+        batch.nearest(CANDS[2], query_index=2, exclude=2)
+        assert CANDS[2] in envelope_builds
+        built = len(envelope_builds)
+        batch.nearest(CANDS[2], query_index=2, exclude=2)
+        assert len(envelope_builds) == built
+
+    def test_view_candidates_keep_nothing(self, envelope_builds):
+        view = _CountingView(CANDS)
+        batch = CascadeBatch(
+            view, BAND, use_improved=False, best_first=False,
+            runtime=self.PY,
+        )
+        view.reads = 0
+        hits = [batch.nearest(QUERIES[0]) for _ in range(2)]
+        # each query reads every candidate once and rebuilds the
+        # envelopes it needs: nothing per candidate outlives a read
+        assert view.reads == 2 * len(CANDS)
+        assert len(envelope_builds) == 2 * (
+            1 + reached_reversed(hits[0].stats)
+        )
+        assert hits[0] == hits[1]
+        want = CascadeBatch(
+            CANDS, BAND, use_improved=False, best_first=False,
+            runtime=self.PY,
+        ).nearest(QUERIES[0])
+        assert (hits[0].index, hits[0].distance) == (want.index, want.distance)
+        assert astuple(hits[0].stats) == astuple(want.stats)
+
+    def test_subsequence_search_reads_each_window_once(
+        self, monkeypatch, envelope_builds
+    ):
+        from repro.search import subsequence as subsequence_module
+
+        reads = []
+        real = subsequence_module._Windows.__getitem__
+
+        def counting(view, j):
+            reads.append(j)
+            return real(view, j)
+
+        monkeypatch.setattr(
+            subsequence_module._Windows, "__getitem__", counting
+        )
+        stream = make_series(120, seed=300)
+        match = subsequence_module.subsequence_search(
+            QUERIES[0], stream, band=BAND, runtime=self.PY,
+        )
+        # window 0 once at construction, then every window once, in
+        # stream order; envelopes only for the windows that reached
+        # the reversed stage
+        assert reads == [0] + list(range(match.windows))
+        assert len(envelope_builds) == 1 + reached_reversed(match.stats)

@@ -12,7 +12,7 @@ from repro.batch.engine import batch_distances, batch_lb_keogh
 from repro.core.cdtw import cdtw
 from repro.core.fastdtw import fastdtw
 from repro.core.fastdtw_reference import fastdtw_reference
-from repro.lowerbounds.cascade import LowerBoundCascade
+from repro.lowerbounds.cascade import CascadeBatch
 from repro.obs import RunTrace, active_trace
 from repro.search.nn_search import nearest_neighbor
 from tests.conftest import make_series
@@ -223,10 +223,11 @@ class TestSingleCallParity:
     def test_cascade_counters_match_stats(self):
         query = make_series(48, 7)
         candidates = [make_series(48, s + 30) for s in range(8)]
-        cascade = LowerBoundCascade(query, band=4)
+        cascade = CascadeBatch(
+            candidates, 4, use_improved=False, best_first=False,
+        )
         with RunTrace() as trace:
-            cascade.nearest(candidates)
-        stats = cascade.stats
+            stats = cascade.nearest(query).stats
         assert trace.counter("lb.candidates") == stats.candidates
         assert trace.counter("lb.pruned_kim") == stats.pruned_kim
         assert trace.counter("lb.pruned_keogh") == stats.pruned_keogh
@@ -374,33 +375,32 @@ class TestCascadeChunkPrefilterParity:
         candidates = [make_series(40, s + 71) for s in range(12)]
         return query, candidates
 
-    def test_stats_identical_across_backends(self):
-        pytest.importorskip("numpy")
+    def cascade(self, candidates, backend, use_reversed=False):
         from repro.runtime import Runtime
 
+        return CascadeBatch(
+            candidates, 3, use_reversed=use_reversed, use_improved=False,
+            best_first=False, runtime=Runtime(backend=backend),
+        )
+
+    @pytest.mark.parametrize("use_reversed", [False, True])
+    def test_stats_identical_across_backends(self, use_reversed):
+        pytest.importorskip("numpy")
         query, candidates = self.workload()
         outcomes = {}
         for backend in BACKENDS:
-            cascade = LowerBoundCascade(
-                query, band=3, use_reversed=False,
-                runtime=Runtime(backend=backend),
+            hit = self.cascade(candidates, backend, use_reversed).nearest(
+                query
             )
-            idx, dist = cascade.nearest(candidates)
-            outcomes[backend] = (idx, float(dist), cascade.stats)
+            outcomes[backend] = (hit.index, float(hit.distance), hit.stats)
         assert outcomes["python"] == outcomes["numpy"]
 
     def test_numpy_trace_reconciles_with_stats(self):
         pytest.importorskip("numpy")
-        from repro.runtime import Runtime
-
         query, candidates = self.workload()
-        cascade = LowerBoundCascade(
-            query, band=3, use_reversed=False,
-            runtime=Runtime(backend="numpy"),
-        )
+        cascade = self.cascade(candidates, "numpy")
         with RunTrace() as trace:
-            cascade.nearest(candidates)
-        stats = cascade.stats
+            stats = cascade.nearest(query).stats
         assert trace.counter("lb.candidates") == stats.candidates
         assert trace.counter("lb.pruned_kim") == stats.pruned_kim
         assert trace.counter("lb.pruned_keogh") == stats.pruned_keogh
@@ -418,9 +418,9 @@ class TestCascadeChunkPrefilterParity:
 
     def test_python_prefilter_is_scalar_and_uncounted(self):
         query, candidates = self.workload()
-        cascade = LowerBoundCascade(query, band=3, use_reversed=False)
-        kims, keoghs = cascade.prefilter_bounds(candidates)
-        assert len(kims) == len(keoghs) == len(candidates)
+        cascade = self.cascade(candidates, "python")
         with RunTrace() as trace:
-            cascade.prefilter_bounds(candidates)
+            stats = cascade.nearest(query).stats
         assert trace.counter("lb.chunk_prefilter") == 0
+        expected = stats.candidates + (stats.candidates - stats.pruned_kim)
+        assert trace.counter("lb.invocations") == expected

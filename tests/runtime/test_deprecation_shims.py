@@ -1,12 +1,14 @@
-"""Legacy execution kwargs: one warning each, bit-identical results.
+"""Execution keywords: ``runtime=`` only, and the native two stay silent.
 
-Every public entry point that grew `workers=` / `backend=` /
-`executor=` across PRs 1-4 now funnels them through
-`repro.runtime._resolve_legacy`.  The contract, per entry point and
-per kwarg: exactly ONE DeprecationWarning naming the replacement, and
-a result bit-identical to the `runtime=`-style call.  The batch
-engine's own `batch_distances(..., workers=)` keyword is native and
-must stay silent.
+Consumer entry points take their execution context only as
+``runtime=``.  The per-knob ``workers=`` / ``backend=`` /
+``executor=`` keywords they once accepted are gone: passing one is a
+``TypeError`` naming it, never a silently ignored argument.  The
+``runtime=`` form of each removed knob must stay warning-free and
+return exactly what the default call returns.  Two keywords are
+native rather than legacy and must keep working silently: the batch
+engine's own ``batch_distances(..., workers=)`` and the spec-level
+``DistanceSpec(backend=)``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.cluster.dba import dba
 from repro.cluster.kmeans import dtw_kmeans
 from repro.cluster.linkage import linkage_from_series
 from repro.core.matrix import distance_matrix
-from repro.lowerbounds.cascade import LowerBoundCascade
+from repro.lowerbounds.cascade import CascadeBatch
 from repro.runtime import Runtime
 from repro.search.cumulative import cdtw_cumulative_abandon
 from repro.search.nn_search import nearest_neighbor
@@ -81,8 +83,7 @@ def run_kmeans(**kw):
 
 
 def run_cascade(**kw):
-    cascade = LowerBoundCascade(QUERY, band=2, **kw)
-    return cascade.nearest(SERIES)
+    return CascadeBatch(SERIES, band=2, **kw).nearest(QUERY)
 
 
 def run_cumulative(**kw):
@@ -91,7 +92,7 @@ def run_cumulative(**kw):
     )
 
 
-# entry point -> (runner, legacy kwargs it accepts)
+# entry point -> (runner, execution knobs it once took as keywords)
 ENTRY_POINTS = {
     "distance_matrix": (run_matrix, ("workers", "backend", "executor")),
     "nearest_neighbor": (run_nn, ("workers", "backend", "executor")),
@@ -102,7 +103,7 @@ ENTRY_POINTS = {
     "linkage_from_series": (run_linkage, ("workers", "backend", "executor")),
     "dba": (run_dba, ("workers", "backend", "executor")),
     "dtw_kmeans": (run_kmeans, ("workers", "backend", "executor")),
-    "LowerBoundCascade": (run_cascade, ("backend",)),
+    "CascadeBatch": (run_cascade, ("backend",)),
     "cdtw_cumulative_abandon": (run_cumulative, ("backend",)),
 }
 
@@ -127,36 +128,12 @@ def _kwarg_value(kwarg, shared_executor):
     }[kwarg]
 
 
-def _deprecations(record):
-    return [
-        w for w in record if issubclass(w.category, DeprecationWarning)
-    ]
-
-
 @pytest.mark.parametrize("name,kwarg", CASES)
-def test_legacy_kwarg_warns_once_and_matches_runtime(
-    name, kwarg, shared_executor
-):
+def test_removed_kwarg_is_refused(name, kwarg, shared_executor):
     runner, _ = ENTRY_POINTS[name]
     value = _kwarg_value(kwarg, shared_executor)
-
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        legacy = runner(**{kwarg: value})
-    emitted = _deprecations(record)
-    assert len(emitted) == 1, (
-        f"{name}({kwarg}=...) emitted {len(emitted)} "
-        "DeprecationWarnings; the shim promises exactly one per call"
-    )
-    message = str(emitted[0].message)
-    assert name in message
-    assert f"{kwarg}=" in message
-    assert "runtime=repro.runtime.Runtime" in message
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        modern = runner(runtime=Runtime(**{kwarg: value}))
-    assert legacy == modern
+    with pytest.raises(TypeError, match=kwarg):
+        runner(**{kwarg: value})
 
 
 @pytest.mark.parametrize("name,kwarg", CASES)
@@ -165,19 +142,8 @@ def test_runtime_style_is_silent(name, kwarg, shared_executor):
     value = _kwarg_value(kwarg, shared_executor)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        runner(runtime=Runtime(**{kwarg: value}))
-
-
-def test_combined_legacy_kwargs_still_warn_once():
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        legacy = run_matrix(workers=2, backend="numpy")
-    emitted = _deprecations(record)
-    assert len(emitted) == 1
-    message = str(emitted[0].message)
-    assert "backend=" in message and "workers=" in message
-    modern = run_matrix(runtime=Runtime(workers=2, backend="numpy"))
-    assert legacy == modern
+        modern = runner(runtime=Runtime(**{kwarg: value}))
+    assert modern == runner()
 
 
 def test_engine_workers_kwarg_is_native_not_deprecated():
@@ -191,8 +157,11 @@ def test_engine_workers_kwarg_is_native_not_deprecated():
 
 
 def test_spec_backend_is_spec_level_not_deprecated():
+    plain = OneNearestNeighbor(DistanceSpec("cdtw", window=0.2)).fit(
+        SERIES, LABELS
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         spec = DistanceSpec("cdtw", window=0.2, backend="numpy")
         clf = OneNearestNeighbor(spec).fit(SERIES, LABELS)
-        assert tuple(clf.predict([QUERY])) == run_one_nn()[:1]
+        assert clf.predict([QUERY]) == plain.predict([QUERY])

@@ -47,7 +47,11 @@ CONSUMER_MODULES = (
 # modules that accept an ahead-of-time index as an opaque ``index=``
 # argument; they may only *call its methods*, never construct or load
 # index internals themselves -- otherwise the fingerprint-verification
-# gate could be bypassed by a consumer building its own stale copy
+# gate could be bypassed by a consumer building its own stale copy.
+# They do construct the one cascade (``CascadeBatch``) for their
+# index-free route, but never inject artifacts into it: the
+# ``candidate_envelopes`` / ``query_envelope`` keywords are reserved
+# for the fingerprint-verified ``IndexSearcher`` (index/search.py)
 INDEX_CONSUMER_MODULES = (
     "search/nn_search.py",
     "search/subsequence.py",
@@ -61,12 +65,12 @@ FORBIDDEN_INDEX_NAMES = frozenset(
     {
         "DatasetIndex",
         "IndexSearcher",
-        "IndexScan",
-        "CascadeBatch",
         "build_index",
         "build_stream_index",
         "load_index",
         "save_index",
+        "candidate_envelopes",
+        "query_envelope",
     }
 )
 
@@ -133,14 +137,18 @@ def test_no_rederived_parallel_checks(module):
     )
 
 
-@pytest.mark.parametrize("module", INDEX_CONSUMER_MODULES)
-def test_index_consumers_stay_duck_typed(module):
-    offending = [
+def _index_internals(path: Path):
+    return [
         (tok.start[0], tok.string)
-        for tok in _code_tokens(SRC / module)
+        for tok in _code_tokens(path)
         if tok.type == tokenize.NAME
         and tok.string in FORBIDDEN_INDEX_NAMES
     ]
+
+
+@pytest.mark.parametrize("module", INDEX_CONSUMER_MODULES)
+def test_index_consumers_stay_duck_typed(module):
+    offending = _index_internals(SRC / module)
     assert not offending, (
         f"{module} constructs index internals itself {offending}; "
         "consumers drive the opaque index= object's methods only"
@@ -153,7 +161,10 @@ def test_the_scan_itself_catches_violations(tmp_path):
         '"""docstring saying resolve_backend is fine."""\n'
         "# comment: workers > 1 is fine too\n"
         "parallel = workers > 1\n"
+        "# a stale copy's envelopes via candidate_envelopes= is caught\n"
+        "cascade = CascadeBatch(series, band, candidate_envelopes=stale)\n"
     )
     code = " ".join(t.string for t in _code_tokens(victim))
     assert "workers > 1" in code
     assert "resolve_backend" not in code
+    assert _index_internals(victim) == [(5, "candidate_envelopes")]

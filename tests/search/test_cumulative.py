@@ -127,15 +127,14 @@ class TestCumulativeAbandon:
 
 class TestCascadeWithCumulative:
     def test_nearest_unchanged_by_cumulative_stage(self):
-        from repro.lowerbounds.cascade import LowerBoundCascade
+        from repro.lowerbounds.cascade import CascadeBatch
 
         query = make_series(24, 16)
         candidates = [make_series(24, s + 900) for s in range(12)]
-        with_cum = LowerBoundCascade(query, band=3, use_cumulative=True)
-        without = LowerBoundCascade(query, band=3, use_cumulative=False)
-        assert with_cum.nearest(candidates) == pytest.approx(
-            without.nearest(candidates)
-        )
+        with_cum = CascadeBatch(candidates, band=3, use_cumulative=True)
+        without = CascadeBatch(candidates, band=3, use_cumulative=False)
+        a, b = with_cum.nearest(query), without.nearest(query)
+        assert (a.index, a.distance) == pytest.approx((b.index, b.distance))
 
     def test_cumulative_stage_comparable_cell_work(self):
         # per-call the suffix bound abandons no later in the *same*
@@ -143,13 +142,16 @@ class TestCascadeWithCumulative:
         # differ (the cumulative stage scans candidate rows against the
         # precomputed query envelope), so only comparable totals are
         # guaranteed
-        from repro.lowerbounds.cascade import LowerBoundCascade
+        from repro.lowerbounds.cascade import CascadeBatch
 
         query = make_series(24, 17)
         candidates = [make_series(24, s + 950) for s in range(15)]
-        with_cum = LowerBoundCascade(query, band=3, use_cumulative=True)
-        without = LowerBoundCascade(query, band=3, use_cumulative=False)
-        with_cum.nearest(candidates)
-        without.nearest(candidates)
+        flags = dict(use_improved=False, best_first=False)
+        with_cum = CascadeBatch(
+            candidates, band=3, use_cumulative=True, **flags
+        ).nearest(query)
+        without = CascadeBatch(
+            candidates, band=3, use_cumulative=False, **flags
+        ).nearest(query)
         assert with_cum.stats.cells <= without.stats.cells * 1.5
         assert with_cum.stats.pruned_total() >= 1
