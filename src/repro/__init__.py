@@ -37,7 +37,6 @@ from .core import (
     get_kernels,
     halve,
     paa,
-    rle_cdtw,
     rle_dtw,
     set_default_backend,
     use_backend,
@@ -91,7 +90,6 @@ __all__ = [
     "halve",
     "load_index",
     "paa",
-    "rle_cdtw",
     "rle_dtw",
     "save_index",
     "set_default_backend",

@@ -108,7 +108,7 @@ class BatchSpec:
 
         True for distance-only dtw/cdtw batches on the numpy backend
         with a named cost -- the configurations where
-        :func:`repro.core.numpy_backend.dtw_numpy_batch` applies.
+        :func:`repro.core.numpy_backend.dtw_chunk` applies.
         The dependent multivariate measures (``dtw_d``/``cdtw_d``) run
         one DP per pair over vector samples, so they stack the same
         way (via ``dtw_nd_chunk``); the independent measures are sums

@@ -35,7 +35,7 @@ from ..obs import trace as _obs
 from ..runtime import Runtime
 
 _FASTDTW_MEASURES = ("fastdtw", "fastdtw_reference")
-_BANDED_MEASURES = ("cdtw", "rle_cdtw", "cdtw_d", "cdtw_i")
+_BANDED_MEASURES = ("cdtw", "cdtw_d", "cdtw_i")
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class DistanceSpec:
     measure:
         One of :data:`repro.core.measures.MEASURES`.
     window:
-        Band as a fraction of length (``measure="cdtw"`` and
-        ``measure="rle_cdtw"``).
+        Band as a fraction of length (the banded measures ``"cdtw"``,
+        ``"cdtw_d"`` and ``"cdtw_i"``).
     radius:
         FastDTW radius (the fastdtw measures only).
     use_lower_bounds:
@@ -102,8 +102,6 @@ class DistanceSpec:
             return f"cDTW_{round(self.window * 100)}"
         if self.measure == "rle_dtw":
             return "RLE-DTW"
-        if self.measure == "rle_cdtw":
-            return f"RLE-cDTW_{round(self.window * 100)}"
         if self.measure == "dtw_d":
             return "DTW-D"
         if self.measure == "dtw_i":

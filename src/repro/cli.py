@@ -243,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default 2)")
     rle_bench.add_argument("--repeats", type=int, default=3,
                            help="timing repeats, best-of (default 3)")
-    rle_bench.add_argument("--window", type=float, default=0.1,
-                           help="band fraction for the banded variant "
-                                "(default 0.1)")
     rle_bench.add_argument("--seed", type=int, default=0,
                            help="trace seed (default 0)")
     rle_bench.add_argument("--backend", default=None,
@@ -602,7 +599,7 @@ def cmd_rle(args) -> int:
     runtime = Runtime(backend=args.backend) if args.backend else None
     report = rle_benchmark(
         length=args.length, n_pairs=args.n_pairs,
-        repeats=args.repeats, window=args.window, seed=args.seed,
+        repeats=args.repeats, seed=args.seed,
         runtime=runtime,
     )
     for line in format_rle_report(report):

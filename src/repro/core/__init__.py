@@ -54,7 +54,7 @@ from .numpy_backend import dtw_numpy, pairwise_matrix_numpy
 from .validate import validate_pair, validate_series
 from .paa import halve, paa, paa_factor
 from .path import InvalidPathError, WarpingPath, diagonal_path
-from .rle import RleSeries, as_rle, rle_cdtw, rle_dtw
+from .rle import RleSeries, as_rle, rle_dtw
 from .window import Window
 
 __all__ = [
@@ -105,7 +105,6 @@ __all__ = [
     "pair_cost_model",
     "pairwise_matrix_numpy",
     "resolve_backend",
-    "rle_cdtw",
     "rle_dtw",
     "resolve_cost",
     "set_default_backend",

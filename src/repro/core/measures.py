@@ -24,19 +24,19 @@ from .fastdtw_reference import fastdtw_reference
 #: The canonical registry: every pairwise measure the package compares.
 MEASURES = (
     "dtw", "cdtw", "fastdtw", "fastdtw_reference", "euclidean",
-    "rle_dtw", "rle_cdtw",
+    "rle_dtw",
     "dtw_d", "cdtw_d", "dtw_i", "cdtw_i",
 )
 
 #: Measures whose results carry DP-cell provenance (Euclidean is O(n),
 #: no lattice, and always reports zero cells).
 CELL_COUNTED_MEASURES = (
-    "dtw", "cdtw", "fastdtw", "fastdtw_reference", "rle_dtw", "rle_cdtw",
+    "dtw", "cdtw", "fastdtw", "fastdtw_reference", "rle_dtw",
     "dtw_d", "cdtw_d", "dtw_i", "cdtw_i",
 )
 
 #: The compressed-domain exact measures (run-length encoded input).
-RLE_MEASURES = ("rle_dtw", "rle_cdtw")
+RLE_MEASURES = ("rle_dtw",)
 
 #: The multivariate measures: input series are shaped ``(length,
 #: dims)`` (every sample an equal-length vector).  ``_d`` is dependent
@@ -73,8 +73,8 @@ def measure_fn(
     measure:
         One of :data:`MEASURES`.
     window, band:
-        cDTW constraint (exactly one, for ``measure="cdtw"`` and
-        ``measure="rle_cdtw"``).
+        cDTW constraint (exactly one, for ``measure="cdtw"`` and the
+        banded multivariate measures).
     radius:
         FastDTW radius (for the fastdtw measures).
     cost:
@@ -84,7 +84,7 @@ def measure_fn(
         fastdtw measures always return one; Euclidean has none).
     backend:
         Kernel backend for the exact DP measures (``"dtw"``/``"cdtw"``
-        and the rle measures),
+        and ``"rle_dtw"``),
         resolved via :func:`repro.core.kernels.resolve_backend`
         (``None`` = the process default).  The fastdtw measures and
         Euclidean always run their reference implementations; the
@@ -101,18 +101,11 @@ def measure_fn(
     from .kernels import resolve_backend
 
     resolved = resolve_backend(backend)
-    if measure in RLE_MEASURES:
-        from .rle import rle_cdtw, rle_dtw
+    if measure == "rle_dtw":
+        from .rle import rle_dtw
 
-        if measure == "rle_dtw":
-            return lambda x, y: rle_dtw(
-                x, y, cost=cost, return_path=return_path, backend=resolved
-            )
-        if (window is None) == (band is None):
-            raise ValueError("specify exactly one of window= or band=")
-        return lambda x, y: rle_cdtw(
-            x, y, window=window, band=band, cost=cost,
-            return_path=return_path, backend=resolved,
+        return lambda x, y: rle_dtw(
+            x, y, cost=cost, return_path=return_path, backend=resolved
         )
     if measure in ND_MEASURES:
         return _nd_measure_fn(
@@ -299,9 +292,9 @@ def pair_cost_model(
     * ``fastdtw``/``fastdtw_reference`` -- Salvador & Chan's own
       ``N * (8r + 14)`` accounting;
     * ``euclidean`` -- ``min(n, m)`` (one cell-equivalent per sample);
-    * ``rle_dtw``/``rle_cdtw`` -- ``k*m + l*n`` with ``k``/``l`` the
-      run counts from ``run_counts`` (required for these measures;
-      the exact boundary-cell count of the block DP);
+    * ``rle_dtw`` -- ``k*m + l*n`` with ``k``/``l`` the run counts
+      from ``run_counts`` (required for this measure; the exact
+      boundary-cell count of the block DP);
     * ``dtw_d``/``dtw_i`` -- ``dims * n * m`` and ``cdtw_d``/
       ``cdtw_i`` -- ``dims *`` :func:`~repro.core.cdtw.band_cells`
       (the dependent DP does ``dims`` subtractions per lattice cell;

@@ -41,9 +41,9 @@ a true minimum, so the combining arithmetic is operand-identical).
   against it *is* the sequential result) with an exact sequential
   fold for rows where verification fails.
 
-``dtw_numpy_batch`` advances a whole stack of equal-shape pairs
-through each wavefront together, which is where the large speedups
-live: per-step NumPy dispatch overhead is amortised over the batch.
+``dtw_chunk`` advances a whole stack of equal-shape pairs through
+each wavefront together, which is where the large speedups live:
+per-step NumPy dispatch overhead is amortised over the batch.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .window import Window
 
 __all__ = [
     "dtw_numpy",
-    "dtw_numpy_batch",
     "dtw_chunk",
     "dtw_nd_numpy",
     "dtw_nd_chunk",
@@ -409,53 +408,6 @@ def _row_sweep(
     return abandoned, cells, rows, bufp
 
 
-def dtw_numpy_batch(
-    xs,
-    ys,
-    window: Window,
-    cost: CostLike = "squared",
-) -> np.ndarray:
-    """Windowed DTW distances for a stack of equal-shape pairs.
-
-    Runs the same bit-identical DP as :func:`dtw_numpy`, but advances
-    all ``p`` pairs through each lattice row together, amortising the
-    per-row NumPy dispatch overhead across the whole batch -- this is
-    the kernel behind the large batch/matrix speedups.
-
-    Parameters
-    ----------
-    xs, ys:
-        Arrays of shape ``(p, n)`` and ``(p, m)``: pair ``t`` is
-        ``(xs[t], ys[t])``.  All pairs share ``window``.
-    window:
-        The admitted region, shared by every pair.
-    cost:
-        Built-in cost name.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(p,)`` distances; pair ``t`` equals
-        ``dtw_numpy(xs[t], ys[t], window=window, cost=cost).distance``
-        bit for bit.  Each pair evaluates ``window.cell_count()``
-        cells (no early abandoning in the batched kernel).
-    """
-    named = _require_named_cost(cost)
-    X = np.ascontiguousarray(xs, dtype=np.float64)
-    Y = np.ascontiguousarray(ys, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ValueError("xs and ys must be 2-D with matching pair counts")
-    p, n = X.shape
-    m = Y.shape[1]
-    if (n, m) != (window.n, window.m):
-        raise ValueError(
-            f"window is {window.n}x{window.m} but series are {n}x{m}"
-        )
-    if p == 0:
-        return np.empty(0, dtype=np.float64)
-    return _dtw_antidiag(X, Y, window, named)
-
-
 def _chunk_rows(shape0: int, count: Optional[int]) -> int:
     """Resolve the ``count=`` padding contract: the number of real
     rows in a possibly padded chunk stack.
@@ -482,10 +434,10 @@ def dtw_chunk(
 ) -> np.ndarray:
     """Windowed DTW distances for one shape-homogeneous chunk.
 
-    The chunk-kernel face of :func:`dtw_numpy_batch`: pairs arrive
-    stacked as ``(chunk, n)`` / ``(chunk, m)`` arrays (the batch
-    engine's schedule groups pairs by ``(n, m, band)`` and pads each
-    group into reusable scratch stacks), and the anti-diagonal
+    Runs the same bit-identical DP as :func:`dtw_numpy`, but pairs
+    arrive stacked as ``(chunk, n)`` / ``(chunk, m)`` arrays (the
+    batch engine's schedule groups pairs by ``(n, m, band)`` and pads
+    each group into reusable scratch stacks), and the anti-diagonal
     wavefront advances every pair of the chunk together.
 
     Parameters
@@ -598,7 +550,7 @@ def pairwise_matrix_numpy(
     if pairs:
         xs = np.stack([arrs[i] for i, _ in pairs])
         ys = np.stack([arrs[j] for _, j in pairs])
-        dists = dtw_numpy_batch(xs, ys, win, cost=named)
+        dists = dtw_chunk(xs, ys, win, cost=named)
         for (i, j), d in zip(pairs, dists):
             values[i][j] = values[j][i] = float(d)
     measure = "dtw" if (window is None and band is None) else "cdtw"

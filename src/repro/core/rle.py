@@ -44,25 +44,15 @@ e.g. values on a dyadic grid (multiples of ``2**-10``, magnitudes
 below ``2**6``, lengths below ``2**13`` keep every partial sum within
 float64's 53 bits) -- both forms are **bit-identical**, and the
 property suites pin that down.  For arbitrary floats the two forms may
-differ in final ulps (documented, and why the serve layer only
-auto-routes datasets whose samples sit on such a grid, see
-``RleSeries.exactness_grid``); the *python vs numpy* block kernels are
+differ in final ulps (documented; ``RleSeries.exactness_grid`` checks
+for such a grid); the *python vs numpy* block kernels are
 bit-identical for all inputs because they evaluate the same elementary
 expressions.
 
-Windowed variant
-----------------
-:func:`rle_cdtw` applies a :class:`~repro.core.window.Window`:
-fully-admitted blocks use the boundary recurrence, fully-excluded
-blocks propagate ``inf``, and blocks straddling the band boundary fall
-back to a dense mini-DP over their admitted cells -- bit-identical to
-the dense engine's treatment of those cells for *all* inputs.
-
-Cell accounting: a full block charges ``h + w`` cells (its computed
-boundary), a straddling block its admitted cells, an excluded block
-zero -- summing to exactly ``k*m + l*n`` for the unwindowed case,
-which is also the :func:`repro.core.measures.pair_cost_model` price
-the batch scheduler uses.
+Cell accounting: each block charges ``h + w`` cells (its computed
+boundary), summing to exactly ``k*m + l*n`` -- also the
+:func:`repro.core.measures.pair_cost_model` price the batch scheduler
+uses.
 """
 
 from __future__ import annotations
@@ -76,13 +66,11 @@ from ..obs import trace as _obs
 from .cost import CostLike, cost_name, resolve_cost
 from .engine import DtwResult
 from .path import WarpingPath
-from .window import Window
 
 __all__ = [
     "RleSeries",
     "as_rle",
     "rle_dtw",
-    "rle_cdtw",
     "rle_block_python",
 ]
 
@@ -192,8 +180,7 @@ class RleSeries:
         ``2**-fraction_bits`` with ``|v| <= magnitude``.  On such data
         every partial sum the dense DP forms is exactly representable,
         so the block DP's multiplication form is bit-identical to the
-        dense engine (see the module docstring); the serve layer only
-        auto-routes datasets passing this check.
+        dense engine (see the module docstring).
         """
         scale = float(1 << fraction_bits)
         for v in self.values:
@@ -306,7 +293,6 @@ def _rle_dp(
     rx: RleSeries,
     ry: RleSeries,
     cost_fn,
-    window: Optional[Window],
     block_fn,
     keep_blocks: bool,
 ):
@@ -316,13 +302,12 @@ def _rle_dp(
     across block rows (index 0 is the virtual column ``-1``:
     ``D(-1,-1) = 0``, everything else ``inf`` -- exactly the dense
     engine's implicit boundary).  ``blocks`` maps ``(p, q)`` to the
-    stored boundary state for path recovery (full windows only).
+    stored boundary state for path recovery.
     """
     xv, xl = rx.values, rx.lengths
     yv, yl = ry.values, ry.lengths
     k, l = len(xv), len(yv)
     m = ry.n
-    ranges = window.ranges if window is not None else None
     row_bound: List[float] = [0.0] + [inf] * m
     cells = 0
     blocks: Optional[Dict] = {} if keep_blocks else None
@@ -344,32 +329,9 @@ def _rle_dp(
             T = row_bound[left:left + w + 1]
             if q == 0:
                 L = [row_bound[0]] + [inf] * h
-            if ranges is None:
-                B, R = block_fn(T, L, c, h, w)
-                B, R = list(B), list(R)
-                cells += h + w
-            else:
-                right = left + w - 1
-                admitted = 0
-                full = True
-                for i in range(top, top + h):
-                    lo_i, hi_i = ranges[i]
-                    a0 = lo_i if lo_i > left else left
-                    a1 = hi_i if hi_i < right else right
-                    if a0 > left or a1 < right:
-                        full = False
-                    if a1 >= a0:
-                        admitted += a1 - a0 + 1
-                if full:
-                    B, R = block_fn(T, L, c, h, w)
-                    B, R = list(B), list(R)
-                    cells += h + w
-                elif admitted == 0:
-                    B = [inf] * w
-                    R = [inf] * h
-                else:
-                    B, R = _straddle_dp(T, L, c, h, w, ranges, top, left)
-                    cells += admitted
+            B, R = block_fn(T, L, c, h, w)
+            B, R = list(B), list(R)
+            cells += h + w
             if keep_blocks:
                 blocks[(p, q)] = (T, L, c, h, w, top, left)
             new_row[left + 1:left + w + 1] = B
@@ -378,35 +340,6 @@ def _rle_dp(
         row_bound = new_row
         top += h
     return row_bound[m], cells, blocks
-
-
-def _straddle_dp(T, L, c, h, w, ranges, top, left):
-    """Dense mini-DP over a block straddling the window boundary.
-
-    Evaluates exactly the admitted cells with the standard three-way
-    recurrence, seeded from the block's boundary arrays -- cell for
-    cell the computation the dense engine performs there, so the
-    values are bit-identical for arbitrary inputs (``c + best``
-    matches the engine's ``local + best``).
-    """
-    prev = list(T)
-    R = [inf] * h
-    for a in range(1, h + 1):
-        lo_i, hi_i = ranges[top + a - 1]
-        cur = [inf] * (w + 1)
-        cur[0] = L[a]
-        for s in range(1, w + 1):
-            j = left + s - 1
-            if lo_i <= j <= hi_i:
-                best = prev[s - 1]
-                if prev[s] < best:
-                    best = prev[s]
-                if cur[s - 1] < best:
-                    best = cur[s - 1]
-                cur[s] = c + best
-        R[a - 1] = cur[w]
-        prev = cur
-    return prev[1:], R
 
 
 # -- path recovery ---------------------------------------------------------
@@ -511,63 +444,6 @@ def rle_dtw(
 
 def _rle_dtw_impl(rx, ry, cost, return_path, block_fn):
     fn = resolve_cost(cost)
-    distance, cells, blocks = _rle_dp(rx, ry, fn, None, block_fn, return_path)
+    distance, cells, blocks = _rle_dp(rx, ry, fn, block_fn, return_path)
     path = _blocks_path(blocks, rx, ry) if return_path else None
-    return DtwResult(distance, path, cells, cost_name(cost))
-
-
-def rle_cdtw(
-    x: RleLike,
-    y: RleLike,
-    window: Optional[float] = None,
-    band: Optional[int] = None,
-    cost: CostLike = "squared",
-    return_path: bool = False,
-    backend: Optional[str] = None,
-) -> DtwResult:
-    """Windowed (Sakoe-Chiba) exact DTW on run-length-encoded series.
-
-    Same constraint convention as :func:`repro.core.cdtw.cdtw`:
-    exactly one of ``window=`` (fraction) or ``band=`` (cells).
-    Blocks fully inside the band use the O(h + w) boundary recurrence;
-    straddling blocks run a dense mini-DP over their admitted cells
-    (bit-identical to the dense engine there for all inputs).
-
-    ``return_path=True`` recovers the path with a dense banded DP over
-    the decoded series (native banded backtracking is not implemented;
-    the distance and cells still come from the block DP).
-    """
-    if (window is None) == (band is None):
-        raise ValueError("specify exactly one of window= or band=")
-    rx, ry = as_rle(x, "series x"), as_rle(y, "series y")
-    from .kernels import banded_window, fraction_window
-
-    n, m = rx.n, ry.n
-    if window is not None:
-        win = fraction_window(n, m, window)
-    else:
-        win = banded_window(n, m, band)
-    block_fn = _block_kernel(backend)
-    trace = _obs._ACTIVE
-    if trace is None:
-        return _rle_cdtw_impl(rx, ry, win, cost, return_path, block_fn)
-    with _obs.span("dp"):
-        result = _rle_cdtw_impl(rx, ry, win, cost, return_path, block_fn)
-    _obs.record_dp(trace, result)
-    trace.incr("rle.runs", rx.run_count + ry.run_count)
-    trace.incr("rle.block_cells", result.cells)
-    return result
-
-
-def _rle_cdtw_impl(rx, ry, win, cost, return_path, block_fn):
-    fn = resolve_cost(cost)
-    distance, cells, _ = _rle_dp(rx, ry, fn, win, block_fn, False)
-    path = None
-    if return_path:
-        from .engine import _dp_over_window
-
-        dense = _dp_over_window(
-            rx.decode(), ry.decode(), win, cost, True, None, None
-        )
-        path = dense.path
     return DtwResult(distance, path, cells, cost_name(cost))

@@ -23,6 +23,7 @@ through RLE; this report quantifies the opt-in headroom only.
 
 from __future__ import annotations
 
+import os
 import time
 from math import inf
 from typing import List, Optional, Sequence
@@ -34,7 +35,7 @@ from .rle import RleSeries
 
 __all__ = ["format_rle_report", "rle_benchmark"]
 
-SCHEMA = "repro.rle.bench/v1"
+SCHEMA = "repro.rle.bench/v2"
 
 #: dyadic quantization steps, fine to coarse (low to high compression)
 DEFAULT_STEPS = (2.0 ** -8, 2.0 ** -6, 2.0 ** -4, 2.0 ** -2)
@@ -69,15 +70,14 @@ def rle_benchmark(
     n_pairs: int = 2,
     quantize_steps: Sequence[float] = DEFAULT_STEPS,
     repeats: int = 3,
-    window: float = 0.1,
     seed: int = 0,
     runtime: Optional[Runtime] = None,
 ) -> dict:
     """Sweep quantization levels; return a JSON-ready report.
 
     Each level generates ``n_pairs`` power-trace pairs quantized to
-    that step, runs full DTW and banded cDTW through both the dense
-    and the compressed engines on the runtime's backend, and records
+    that step, runs full DTW through both the dense and the
+    compressed engines on the runtime's backend, and records
     compression ratio, cells, wall-clock and exact agreement.
     """
     if not quantize_steps:
@@ -85,9 +85,7 @@ def rle_benchmark(
     rt = Runtime.resolve(runtime).serial()
     backend = rt.backend_name
     dense_full = measure_fn("dtw", backend=backend)
-    dense_band = measure_fn("cdtw", window=window, backend=backend)
     rle_full = measure_fn("rle_dtw", backend=backend)
-    rle_band = measure_fn("rle_cdtw", window=window, backend=backend)
 
     # scale the canonical peak positions with the length so short
     # smoke workloads stay valid; at the default length=450 these are
@@ -113,26 +111,20 @@ def rle_benchmark(
         )
         on_grid = all(e.exactness_grid() for e in encoded)
 
-        variants = {}
-        for name, dense_fn, rle_fn in (
-            ("full", dense_full, rle_full),
-            ("banded", dense_band, rle_band),
-        ):
-            dense = _contender("dense", dense_fn, pairs, repeats)
-            rle = _contender("rle", rle_fn, pairs, repeats)
-            variants[name] = {
+        dense = _contender("dense", dense_full, pairs, repeats)
+        rle = _contender("rle", rle_full, pairs, repeats)
+        levels.append({
+            "quantize": step,
+            "compression_ratio": ratio,
+            "on_exactness_grid": on_grid,
+            "variants": {"full": {
                 "dense_seconds": dense["seconds"],
                 "rle_seconds": rle["seconds"],
                 "speedup": dense["seconds"] / rle["seconds"],
                 "dense_cells": dense["cells"],
                 "rle_cells": rle["cells"],
                 "agree": dense["distances"] == rle["distances"],
-            }
-        levels.append({
-            "quantize": step,
-            "compression_ratio": ratio,
-            "on_exactness_grid": on_grid,
-            "variants": variants,
+            }},
         })
 
     agree = all(
@@ -152,13 +144,13 @@ def rle_benchmark(
             " never routes through RLE; this measures the opt-in "
             "fast path only."
         ),
+        "cpu_count": os.cpu_count() or 1,
         "workload": {
             "kind": "quantized_power_pairs",
             "length": length,
             "n_pairs": n_pairs,
             "quantize_steps": [float(s) for s in quantize_steps],
             "repeats": repeats,
-            "window": window,
             "seed": seed,
             "backend": backend,
         },
@@ -175,18 +167,16 @@ def format_rle_report(report: dict) -> List[str]:
     lines = [
         f"rle compression-vs-speedup benchmark ({report['benchmark']})",
         f"  workload: {workload['n_pairs']} power pairs of length "
-        f"{workload['length']} per level, window={workload['window']}, "
+        f"{workload['length']} per level, "
         f"backend={workload['backend']}",
     ]
     for level in report["levels"]:
         full = level["variants"]["full"]
-        banded = level["variants"]["banded"]
         lines.append(
             f"  quantize=2^{level['quantize'].hex().split('p')[-1]:>3s} "
             f"ratio={level['compression_ratio']:7.2f}  "
             f"full: {full['speedup']:5.2f}x "
-            f"({full['rle_cells']}/{full['dense_cells']} cells)  "
-            f"banded: {banded['speedup']:5.2f}x"
+            f"({full['rle_cells']}/{full['dense_cells']} cells)"
         )
     lines.append(
         f"  all distances bit-identical to dense: {report['agree']}"

@@ -50,11 +50,10 @@ _QUERY_OPS = ("1nn", "knn", "subsequence")
 
 #: recognised parameter names per op, beyond ``op``/``dataset``/
 #: ``query``/``id`` (``index`` is a per-request override of the
-#: service's index fast-path setting; ``rle`` forces the
-#: compressed-domain routing on or off for this request)
+#: service's index fast-path setting)
 _PARAMS = {
-    "1nn": ("band", "index", "rle"),
-    "knn": ("band", "k", "rle"),
+    "1nn": ("band", "index"),
+    "knn": ("band", "k"),
     "subsequence": ("band", "k", "step", "normalize", "exclusion",
                     "index"),
     "discord": ("window", "band", "step", "exclusion", "normalize",
@@ -233,7 +232,7 @@ def parse_request(obj: Mapping[str, Any]) -> QueryRequest:
         params["exclusion"] = _positive_int(
             params["exclusion"], "exclusion"
         )
-    for flag in ("normalize", "index", "rle"):
+    for flag in ("normalize", "index"):
         if flag in params and not isinstance(params[flag], bool):
             raise ProtocolError(f"{flag} must be a bool")
 

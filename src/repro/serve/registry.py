@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from ..batch.shm import dataset_dims, pack_dataset
-from ..core.rle import RleSeries
 from ..core.validate import validate_series
 from ..index import DatasetIndex, build_index, build_stream_index
 from .protocol import ProtocolError
@@ -37,26 +36,14 @@ __all__ = ["ArtifactCache", "DatasetRegistry", "RegisteredDataset"]
 class RegisteredDataset:
     """One named dataset: a collection of series, or a single stream.
 
-    Registration also profiles the content for the compressed-domain
-    fast path (:mod:`repro.core.rle`): ``run_counts`` holds each
-    series' tolerance-zero run count, ``compression_ratio`` the
-    samples-per-run average the service thresholds on, and
-    ``rle_exact`` whether every value sits on the dyadic grid where
-    the block DP is provably bit-identical to the dense engine
-    (:meth:`repro.core.rle.RleSeries.exactness_grid`).
-
     Multivariate datasets (rows of ``(length, dims)`` vector samples)
-    record ``dims > 1``; the RLE profile is skipped for them (the
-    compressed-domain engine is scalar), so they never auto-route.
+    record ``dims > 1``.
     """
 
     name: str
     kind: str  # "collection" | "stream"
     series: Tuple[Tuple[Any, ...], ...]
     fingerprint: str
-    run_counts: Tuple[int, ...] = ()
-    compression_ratio: float = 1.0
-    rle_exact: bool = False
     dims: int = 1
 
     @property
@@ -71,14 +58,6 @@ def _canonical_row(values) -> Tuple[Any, ...]:
     if items and isinstance(items[0], (tuple, list)):
         return tuple(tuple(float(c) for c in v) for v in items)
     return tuple(float(v) for v in items)
-
-
-def _rle_profile(rows) -> Tuple[Tuple[int, ...], float, bool]:
-    """(run counts, samples per run, on-the-exactness-grid?) of rows."""
-    encoded = [RleSeries.encode(row) for row in rows]
-    runs = tuple(e.run_count for e in encoded)
-    ratio = sum(len(row) for row in rows) / sum(runs)
-    return runs, ratio, all(e.exactness_grid() for e in encoded)
 
 
 class DatasetRegistry:
@@ -107,16 +86,9 @@ class DatasetRegistry:
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
         _, _, fingerprint = pack_dataset(rows)
-        if dims is None:
-            runs, ratio, exact = _rle_profile(rows)
-        else:
-            # the RLE engine is scalar; nd datasets never route
-            runs, ratio, exact = (), 1.0, False
         entry = RegisteredDataset(
             name=name, kind="collection", series=tuple(rows),
-            fingerprint=fingerprint, run_counts=runs,
-            compression_ratio=ratio, rle_exact=exact,
-            dims=1 if dims is None else dims,
+            fingerprint=fingerprint, dims=1 if dims is None else dims,
         )
         self._datasets[name] = entry
         return entry
@@ -132,15 +104,9 @@ class DatasetRegistry:
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
         _, _, fingerprint = pack_dataset([row])
-        if dims is None:
-            runs, ratio, exact = _rle_profile([row])
-        else:
-            runs, ratio, exact = (), 1.0, False
         entry = RegisteredDataset(
             name=name, kind="stream", series=(row,),
-            fingerprint=fingerprint, run_counts=runs,
-            compression_ratio=ratio, rle_exact=exact,
-            dims=1 if dims is None else dims,
+            fingerprint=fingerprint, dims=1 if dims is None else dims,
         )
         self._datasets[name] = entry
         return entry

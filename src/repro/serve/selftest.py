@@ -17,11 +17,7 @@ the micro-batcher, and verifies the serving layer's whole contract:
    executed batch holds several requests);
 5. **Latency surface** -- ``p50_latency_ms``/``p99_latency_ms`` are
    present and sane;
-6. **Hygiene** -- no ``/dev/shm`` segment survives service shutdown;
-7. **Compressed-domain routing** -- on a quantized step dataset the
-   ``rle``-forced, ``rle``-suppressed and auto-routed answers are
-   bit-identical, and forcing ``rle`` on an off-grid dataset is
-   rejected rather than risking drift.
+6. **Hygiene** -- no ``/dev/shm`` segment survives service shutdown.
 
 Exit code 0 only if every check passes; any parity mismatch (or any
 other failure) is nonzero.  Used as the CI smoke for the serve job.
@@ -210,66 +206,6 @@ def run_self_test(
         "p50_latency_ms" in payload and "p99_latency_ms" in payload
         and payload["p99_latency_ms"] >= payload["p50_latency_ms"] >= 0,
     )
-
-    # -- compressed-domain routing parity ----------------------------------
-    grid = 2.0 ** -4
-    rng = random.Random(53)
-
-    def step_series() -> List[float]:
-        out: List[float] = []
-        while len(out) < 24:
-            value = rng.randrange(-32, 33) * grid
-            out.extend([value] * rng.randrange(4, 9))
-        return out[:24]
-
-    steps = [step_series() for _ in range(8)]
-    with QueryService(runtime=runtime, cache_results=False) as rle_svc:
-        rle_svc.register("steps", steps)
-        entry = rle_svc.registry.get("steps")
-        check(
-            "quantized dataset profiles as RLE-exact and compressible",
-            entry.rle_exact
-            and entry.compression_ratio >= rle_svc.rle_threshold,
-            f"ratio={entry.compression_ratio:.2f} "
-            f"exact={entry.rle_exact}",
-        )
-        rle_parity = True
-        for query in (step_series() for _ in range(3)):
-            base = {"op": "1nn", "dataset": "steps", "band": 3,
-                    "index": False, "query": query}
-            on = rle_svc.execute({**base, "rle": True})
-            off = rle_svc.execute({**base, "rle": False})
-            auto = rle_svc.execute(
-                {"op": "1nn", "dataset": "steps", "band": 3,
-                 "query": query}
-            )
-            k_on = rle_svc.execute(
-                {"op": "knn", "dataset": "steps", "band": 3, "k": 3,
-                 "query": query, "rle": True}
-            )
-            k_off = rle_svc.execute(
-                {"op": "knn", "dataset": "steps", "band": 3, "k": 3,
-                 "query": query, "rle": False}
-            )
-            rle_parity = rle_parity and (
-                on.ok and off.ok and auto.ok and k_on.ok and k_off.ok
-                and on.answer == off.answer == auto.answer
-                and k_on.answer == k_off.answer
-            )
-        check(
-            "rle-routed answers bit-identical to the dense path",
-            rle_parity,
-        )
-        rle_svc.register("offgrid", series)
-        forced = rle_svc.execute(
-            {"op": "1nn", "dataset": "offgrid", "band": 3,
-             "query": queries[0], "rle": True}
-        )
-        check(
-            "forcing rle on an off-grid dataset is rejected",
-            not forced.ok and "exactness grid" in (forced.error or ""),
-            forced.error or "unexpectedly succeeded",
-        )
 
     # -- shm hygiene -------------------------------------------------------
     if shm_before is not None:

@@ -21,7 +21,10 @@ The socket protocol is newline-delimited JSON, one object per line:
 
 Responses echo the request's ``id`` when given, so clients may
 pipeline as many requests per connection as they like -- that is the
-whole point of the batcher.
+whole point of the batcher.  A line that cannot be read as a request
+(over 64 KiB, not UTF-8, not JSON) gets an
+``{"ok": false, "error": ...}`` response of its own, and the
+connection goes on with the next line.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ from .protocol import QueryRequest, QueryResponse
 from .service import QueryService
 
 __all__ = ["AsyncQueryService", "run_server", "serve"]
+
+#: Longest request line the server reads, newline excluded (asyncio's
+#: default stream limit, named so the over-long-line error can cite it)
+_MAX_LINE_BYTES = 2 ** 16
 
 
 class AsyncQueryService:
@@ -116,6 +123,31 @@ async def _handle_admin(
         return {"ok": False, "error": str(exc)}
 
 
+async def _read_line(reader: "asyncio.StreamReader") -> bytes:
+    """The next line, newline included (``b""`` at EOF).
+
+    A line longer than the reader's limit raises ``ValueError``, but
+    only once all of it, newline included, has been consumed -- so the
+    next call reads the line after it, not the over-long line's tail.
+    """
+    too_long = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # a last line without its newline
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)  # drop what was scanned
+            too_long = True
+            continue
+        if too_long:
+            raise ValueError(
+                f"line too long: over {_MAX_LINE_BYTES} bytes; request "
+                "skipped"
+            )
+        return line
+
+
 async def _handle_connection(
     service: AsyncQueryService,
     reader: "asyncio.StreamReader",
@@ -132,7 +164,11 @@ async def _handle_connection(
     tasks = []
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await _read_line(reader)
+            except ValueError as exc:
+                await respond({"ok": False, "error": str(exc)})
+                continue
             if not line:
                 break
             line = line.strip()
@@ -140,6 +176,9 @@ async def _handle_connection(
                 continue
             try:
                 obj = json.loads(line)
+            except UnicodeDecodeError as exc:
+                await respond({"ok": False, "error": f"not utf-8: {exc}"})
+                continue
             except json.JSONDecodeError as exc:
                 await respond({"ok": False, "error": f"bad json: {exc}"})
                 continue
@@ -167,7 +206,8 @@ async def serve(
 ) -> "asyncio.AbstractServer":
     """Start the newline-delimited-JSON server (caller owns its life)."""
     return await asyncio.start_server(
-        lambda r, w: _handle_connection(service, r, w), host, port
+        lambda r, w: _handle_connection(service, r, w), host, port,
+        limit=_MAX_LINE_BYTES,
     )
 
 

@@ -137,15 +137,6 @@ class QueryService:
         Memoise whole answers for repeated identical requests
         (default on; every op here is a pure function of dataset
         content + parameters).
-    use_rle, rle_threshold:
-        Auto-route ``1nn``/``knn`` over sufficiently compressible
-        collections through the compressed-domain measure
-        (``rle_cdtw``, :mod:`repro.core.rle`).  A collection routes
-        when its samples-per-run ratio clears ``rle_threshold`` *and*
-        every value sits on the RLE exactness grid, so routed answers
-        are bit-identical to the dense path by construction.  The
-        per-request ``rle`` parameter forces routing on (rejected
-        off-grid) or off.
     """
 
     def __init__(
@@ -155,8 +146,6 @@ class QueryService:
         cache_results: bool = True,
         max_indexes: int = 32,
         max_results: int = 256,
-        use_rle: bool = True,
-        rle_threshold: float = 4.0,
     ):
         rt = Runtime.resolve(runtime)
         self._own_executor: Optional[BatchExecutor] = None
@@ -166,12 +155,6 @@ class QueryService:
         self.runtime = rt
         self.use_index = use_index
         self.cache_results = cache_results
-        if rle_threshold < 1.0:
-            raise ValueError(
-                "rle_threshold must be >= 1.0 (samples per run)"
-            )
-        self.use_rle = use_rle
-        self.rle_threshold = rle_threshold
         self.registry = DatasetRegistry()
         self.artifacts = ArtifactCache(
             max_indexes=max_indexes, max_results=max_results
@@ -326,44 +309,6 @@ class QueryService:
     def _use_index_for(self, request: QueryRequest) -> bool:
         return bool(request.param("index", self.use_index))
 
-    def _rle_routed(
-        self, request: QueryRequest, dataset: RegisteredDataset
-    ) -> bool:
-        """Route this request through the compressed-domain measure?
-
-        The per-request ``rle`` parameter forces routing on (rejected
-        unless the dataset sits on the exactness grid, where the block
-        DP is provably bit-identical to the dense engine) or off;
-        absent, the service auto-routes collections whose compression
-        ratio clears :attr:`rle_threshold` *and* whose values are on
-        the grid.  Routed or not, the answer is the same -- routing
-        only changes how much work produces it.
-        """
-        if dataset.kind != "collection":
-            return False
-        forced = request.param("rle")
-        if forced is False:
-            return False
-        if forced is True:
-            if dataset.dims != 1:
-                raise ProtocolError(
-                    f"rle=true requested, but dataset {dataset.name!r}"
-                    " is multivariate; the compressed-domain engine is"
-                    " univariate"
-                )
-            if not dataset.rle_exact:
-                raise ProtocolError(
-                    f"rle=true requested, but dataset {dataset.name!r}"
-                    " is not on the RLE exactness grid (compressed "
-                    "answers could drift from the dense engine)"
-                )
-            return True
-        return (
-            self.use_rle
-            and dataset.rle_exact
-            and dataset.compression_ratio >= self.rle_threshold
-        )
-
     def _result_key(
         self, request: QueryRequest, fingerprint: str
     ) -> tuple:
@@ -378,11 +323,9 @@ class QueryService:
         """Positions of fusable ``1nn`` requests, grouped.
 
         A group fuses when: parallel runtime (there is a pool to
-        amortise), op ``1nn``, the request is off the index fast path
-        (index off, or RLE-routed -- which supersedes the index), no
-        cached result, same collection fingerprint + band + RLE
-        routing, and at least two members.  Routing rides in the
-        bucket key so one fused job always runs one measure.
+        amortise), op ``1nn``, the request is off the index fast path,
+        no cached result, same collection fingerprint + band, and at
+        least two members.
         """
         if not self.runtime.parallel:
             return []
@@ -394,20 +337,14 @@ class QueryService:
                 dataset = self.registry.get(req.dataset)
             except ProtocolError:
                 continue  # the per-request path reports the error
-            if dataset.kind != "collection":
-                continue
-            try:
-                routed = self._rle_routed(req, dataset)
-            except ProtocolError:
-                continue  # the per-request path reports the error
-            if self._use_index_for(req) and not routed:
+            if dataset.kind != "collection" or self._use_index_for(req):
                 continue
             if self.cache_results and self.artifacts.peek_result(
                 self._result_key(req, dataset.fingerprint)
             ):
                 continue  # memoised; the per-request path serves it
             buckets.setdefault(
-                (dataset.fingerprint, req.param("band"), routed), []
+                (dataset.fingerprint, req.param("band")), []
             ).append(pos)
         return [group for group in buckets.values() if len(group) >= 2]
 
@@ -430,12 +367,7 @@ class QueryService:
         first = group[0]
         dataset = self.registry.get(first.dataset)
         band = first.param("band")
-        if self._rle_routed(first, dataset):
-            measure = "rle_cdtw"
-        elif dataset.dims != 1:
-            measure = "cdtw_d"
-        else:
-            measure = "cdtw"
+        measure = "cdtw" if dataset.dims == 1 else "cdtw_d"
         candidates = dataset.series
         count = len(candidates)
         usable: List[Tuple[int, QueryRequest]] = []
@@ -600,15 +532,6 @@ class QueryService:
         if bad is not None:
             raise bad
         band = request.param("band")
-        if self._rle_routed(request, dataset):
-            count = len(dataset.series)
-            series = list(dataset.series) + [request.query]
-            result = batch_distances(
-                series, pairs=[(count, j) for j in range(count)],
-                measure="rle_cdtw", band=band, runtime=self.runtime,
-            )
-            idx, best = argmin_first(result.distances)
-            return {"index": idx, "distance": best}
         index = (
             self.artifacts.index_for(dataset, band=band)
             if self._use_index_for(request) else None
@@ -631,12 +554,7 @@ class QueryService:
             raise ProtocolError(
                 f"k={k} exceeds the {count} registered series"
             )
-        if self._rle_routed(request, dataset):
-            measure = "rle_cdtw"
-        elif dataset.dims != 1:
-            measure = "cdtw_d"
-        else:
-            measure = "cdtw"
+        measure = "cdtw" if dataset.dims == 1 else "cdtw_d"
         series = list(dataset.series) + [request.query]
         result = batch_distances(
             series, pairs=[(count, j) for j in range(count)],

@@ -27,6 +27,7 @@ comparison on a ``dims``-channel DTW_D workload -- and writes
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Callable, Dict, Tuple
 
@@ -300,6 +301,7 @@ def multivariate_benchmark(
             "multivariate (DTW_D) backend comparison; the paper's own "
             "timings are univariate and pinned to backend='python'"
         ),
+        "cpu_count": os.cpu_count() or 1,
         "workload": {
             "kind": "interleaved_random_walks",
             "count": count,
@@ -367,8 +369,6 @@ def executor_benchmark(
         raise ValueError("workers must be >= 1")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    import os
-
     from ..batch.engine import batch_distances
     from ..batch.executor import BatchExecutor
     from ..datasets.random_walk import random_walks

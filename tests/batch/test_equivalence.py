@@ -28,7 +28,6 @@ MEASURE_CONFIGS = {
     "fastdtw_reference": {"radius": 1},
     "euclidean": {},
     "rle_dtw": {},
-    "rle_cdtw": {"window": 0.2},
     "dtw_d": {},
     "cdtw_d": {"window": 0.2},
     "dtw_i": {},

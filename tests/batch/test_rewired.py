@@ -34,7 +34,6 @@ MATRIX_KWARGS = {
     "fastdtw_reference": {"radius": 1},
     "euclidean": {},
     "rle_dtw": {},
-    "rle_cdtw": {"window": 0.2},
     "dtw_d": {},
     "cdtw_d": {"window": 0.2},
     "dtw_i": {},
@@ -73,7 +72,6 @@ class TestClassification:
         DistanceSpec("fastdtw", radius=1),
         DistanceSpec("fastdtw_reference", radius=1),
         DistanceSpec("rle_dtw"),
-        DistanceSpec("rle_cdtw", window=0.15),
     ], ids=lambda s: s.describe())
     def test_1nn_labels_and_cells(self, spec):
         series, labels = labelled_set()

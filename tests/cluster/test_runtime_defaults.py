@@ -27,23 +27,17 @@ SERIES = [make_series(16, seed) for seed in range(6)]
 def numpy_kernel_calls(monkeypatch):
     """Count invocations of the NumPy kernel entry points."""
     calls = {"n": 0}
-    real_single, real_batch = nb.dtw_numpy, nb.dtw_numpy_batch
-    real_chunk = nb.dtw_chunk
+    real_single, real_chunk = nb.dtw_numpy, nb.dtw_chunk
 
     def spy_single(*args, **kwargs):
         calls["n"] += 1
         return real_single(*args, **kwargs)
-
-    def spy_batch(*args, **kwargs):
-        calls["n"] += 1
-        return real_batch(*args, **kwargs)
 
     def spy_chunk(*args, **kwargs):
         calls["n"] += 1
         return real_chunk(*args, **kwargs)
 
     monkeypatch.setattr(nb, "dtw_numpy", spy_single)
-    monkeypatch.setattr(nb, "dtw_numpy_batch", spy_batch)
     monkeypatch.setattr(nb, "dtw_chunk", spy_chunk)
     return calls
 

@@ -40,7 +40,7 @@ class TestDistanceMatrix:
         from repro.core.measures import ND_MEASURES
 
         kwargs = {}
-        if measure in ("cdtw", "rle_cdtw", "cdtw_d", "cdtw_i"):
+        if measure in ("cdtw", "cdtw_d", "cdtw_i"):
             kwargs["band"] = 2
         if measure.startswith("fastdtw"):
             kwargs["radius"] = 2

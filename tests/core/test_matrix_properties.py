@@ -22,7 +22,6 @@ MEASURE_KWARGS = {
     "fastdtw_reference": {"radius": 1},
     "euclidean": {},
     "rle_dtw": {},
-    "rle_cdtw": {"window": 0.25},
     "dtw_d": {},
     "cdtw_d": {"window": 0.25},
     "dtw_i": {},

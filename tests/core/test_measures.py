@@ -12,7 +12,7 @@ import pytest
 
 import repro.classify.knn as knn
 import repro.core.matrix as matrix
-from repro.batch.engine import BatchSpec
+from repro.batch.engine import BatchSpec, batch_distances
 from repro.classify.knn import DistanceSpec
 from repro.core import measures
 from repro.core.dtw import dtw
@@ -24,6 +24,8 @@ from repro.core.measures import (
     validate_measure,
 )
 
+THREE = [[0.0, 1.0, 2.0], [1.0, 2.0, 0.0], [2.0, 0.0, 1.0]]
+
 
 class TestRegistryAgreement:
     def test_knn_and_matrix_share_the_canonical_tuple(self):
@@ -34,7 +36,7 @@ class TestRegistryAgreement:
         # the classifier must actually support everything it claims
         for measure in MEASURES:
             kwargs = {}
-            if measure in ("cdtw", "rle_cdtw", "cdtw_d", "cdtw_i"):
+            if measure in ("cdtw", "cdtw_d", "cdtw_i"):
                 kwargs["window"] = 0.1
             elif measure in ("fastdtw", "fastdtw_reference"):
                 kwargs["radius"] = 1
@@ -56,9 +58,24 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown measure"):
             validate_measure("emd")
 
-    def test_measure_fn_rejects_unknown(self):
+    @pytest.mark.parametrize("measure", ["emd", "rle_cdtw"])
+    def test_measure_fn_rejects_unknown(self, measure):
         with pytest.raises(ValueError, match="unknown measure"):
-            measure_fn("emd")
+            measure_fn(measure)
+
+    @pytest.mark.parametrize("build", [
+        lambda m: validate_measure(m),
+        lambda m: DistanceSpec(m, window=0.1),
+        lambda m: BatchSpec(measure=m),
+        lambda m: matrix.distance_matrix(THREE, measure=m, window=0.5),
+        lambda m: batch_distances(THREE, measure=m, window=0.5),
+    ], ids=["validate_measure", "DistanceSpec", "BatchSpec",
+            "distance_matrix", "batch_distances"])
+    def test_every_entry_point_refuses_banded_rle(self, build):
+        # one registry, no stale copies: the deleted banded RLE measure
+        # is unknown wherever a measure name is accepted
+        with pytest.raises(ValueError, match="unknown measure 'rle_cdtw'"):
+            build("rle_cdtw")
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_measure_fn_runs_every_measure(self, measure):

@@ -95,6 +95,51 @@ class TestPairwiseMatrix:
         assert mine.values == reference.values
         assert mine.cells == reference.cells
 
+    @pytest.mark.parametrize("cost", ["squared", "abs"])
+    @pytest.mark.parametrize("config", [
+        {}, {"band": 0}, {"band": 3}, {"window": 0.25},
+    ], ids=["full", "band0", "band3", "window"])
+    def test_cost_and_constraint_match_distance_matrix(self, cost, config):
+        from repro.core.matrix import distance_matrix
+
+        series = [make_series(12, s + 70) for s in range(4)]
+        measure = "cdtw" if config else "dtw"
+        mine = pairwise_matrix_numpy(series, cost=cost, **config)
+        reference = distance_matrix(
+            series, measure=measure, cost=cost, **config
+        )
+        assert mine.measure == measure
+        assert mine.values == reference.values
+        assert mine.cells == reference.cells
+
+    def test_one_chunk_call_stacks_every_pair(self, monkeypatch):
+        import repro.core.numpy_backend as nb
+
+        real, rows = nb.dtw_chunk, []
+
+        def spy(xs, ys, *args, **kwargs):
+            rows.append(len(xs))
+            return real(xs, ys, *args, **kwargs)
+
+        monkeypatch.setattr(nb, "dtw_chunk", spy)
+        series = [make_series(10, s + 90) for s in range(5)]
+        pairwise_matrix_numpy(series, band=2)
+        assert rows == [5 * 4 // 2]
+
+    def test_entries_are_plain_floats(self):
+        series = [make_series(10, s) for s in range(3)]
+        m = pairwise_matrix_numpy(series, band=2)
+        assert all(type(v) is float for row in m.values for v in row)
+
+    def test_rejects_single_series(self):
+        with pytest.raises(ValueError, match="two series"):
+            pairwise_matrix_numpy([make_series(8, 0)])
+
+    def test_rejects_callable_cost(self):
+        series = [make_series(8, s) for s in range(3)]
+        with pytest.raises(ValueError, match="backend='python'"):
+            pairwise_matrix_numpy(series, cost=lambda a, b: abs(a - b))
+
     def test_rejects_window_and_band(self):
         series = [make_series(8, s) for s in range(3)]
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.engine import dp_over_window
 from repro.runtime import Runtime
-from repro.core.numpy_backend import dtw_numpy, dtw_numpy_batch
+from repro.core.numpy_backend import dtw_chunk, dtw_numpy
 from repro.core.window import Window
 from repro.lowerbounds.envelope import envelope
 from repro.search.cumulative import suffix_gap_bounds
@@ -150,9 +150,7 @@ class TestBatchKernel:
         xs = [walk(s, n) for s in range(6)]
         ys = [walk(s + 500, n) for s in range(6)]
         win = Window.band(n, n, 4)
-        batch = dtw_numpy_batch(
-            np.array(xs), np.array(ys), win, cost=cost
-        )
+        batch = dtw_chunk(np.array(xs), np.array(ys), win, cost=cost)
         for x, y, d in zip(xs, ys, batch):
             assert float(d) == dp_over_window(x, y, win, cost=cost).distance
 
@@ -161,7 +159,7 @@ class TestBatchKernel:
         xs = [walk(s + 31, n) for s in range(4)]
         ys = [walk(s + 600, n) for s in range(4)]
         win = Window.full(n, n)
-        batch = dtw_numpy_batch(np.array(xs), np.array(ys), win)
+        batch = dtw_chunk(np.array(xs), np.array(ys), win)
         for x, y, d in zip(xs, ys, batch):
             assert float(d) == dp_over_window(x, y, win).distance
 

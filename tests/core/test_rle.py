@@ -6,9 +6,9 @@ Three layers of contract:
   (signed zeros included), rejects non-finite input with the
   ``validate.py`` wording, and validates its own construction.
 * **Exactness** -- on the dyadic grid the block DP's distances and
-  cell accounting are ``==``-identical to the dense engine, full and
-  banded, on both kernel backends; the python and numpy block kernels
-  are bit-identical for *all* float inputs.
+  cell accounting are ``==``-identical to the dense engine on both
+  kernel backends; the python and numpy block kernels are
+  bit-identical for *all* float inputs.
 * **Cost model** -- cells are exactly ``k*m + l*n`` for the full
   measure, and the adversarial all-runs-length-1 input costs exactly
   twice the dense lattice (the small-constant-overhead guarantee).
@@ -21,13 +21,12 @@ import random
 
 import pytest
 
-from repro.core.cdtw import cdtw
+from repro.batch.engine import batch_distances
 from repro.core.dtw import dtw
 from repro.core.rle import (
     RleSeries,
     as_rle,
     rle_block_python,
-    rle_cdtw,
     rle_dtw,
 )
 from repro.core.rle_numpy import rle_block_numpy
@@ -171,17 +170,6 @@ class TestBitExactAgainstDense:
             == dtw(x, y, cost=cost).distance
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_banded_agrees(self, backend, seed):
-        rng = random.Random(100 + seed)
-        x = step_series(rng, 36)
-        y = step_series(rng, 36)
-        for kwargs in ({"window": 0.2}, {"band": 4}):
-            dense = cdtw(x, y, **kwargs)
-            rle = rle_cdtw(x, y, backend=backend, **kwargs)
-            assert rle.distance == dense.distance
-
     def test_constant_vs_constant(self):
         assert rle_dtw([2.0] * 30, [2.0] * 50).distance == 0.0
         dense = dtw([1.0] * 12, [3.0] * 9)
@@ -192,13 +180,6 @@ class TestBitExactAgainstDense:
             rle_dtw([1.0], [2.0, 2.0, 3.0]).distance
             == dtw([1.0], [2.0, 2.0, 3.0]).distance
         )
-
-    def test_exactly_one_of_window_band(self):
-        x = [1.0] * 8
-        with pytest.raises(ValueError, match="exactly one"):
-            rle_cdtw(x, x)
-        with pytest.raises(ValueError, match="exactly one"):
-            rle_cdtw(x, x, window=0.1, band=2)
 
 
 class TestCellAccounting:
@@ -225,14 +206,6 @@ class TestCellAccounting:
         assert rle.distance == dense.distance
         assert rle.cells == 2 * dense.cells
 
-    def test_banded_cells_never_exceed_full(self):
-        rng = random.Random(9)
-        x = step_series(rng, 40)
-        y = step_series(rng, 40)
-        assert (
-            rle_cdtw(x, y, band=5).cells <= rle_dtw(x, y).cells
-        )
-
 
 class TestPaths:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -253,15 +226,6 @@ class TestPaths:
         rle = rle_dtw(x, y, return_path=True)
         assert rle.distance == dense.distance
         assert rle.path.cost(x, y) == dense.path.cost(x, y)
-
-    def test_banded_path_delegates_to_dense(self):
-        rng = random.Random(77)
-        x = step_series(rng, 30)
-        y = step_series(rng, 30)
-        dense = cdtw(x, y, band=4, return_path=True)
-        rle = rle_cdtw(x, y, band=4, return_path=True)
-        assert rle.path.cells == dense.path.cells
-        assert rle.distance == dense.distance
 
 
 class TestBackendParity:
@@ -297,11 +261,6 @@ class TestBackendParity:
         np_ = rle_dtw(x, y, backend="numpy")
         assert py.distance == np_.distance
         assert py.cells == np_.cells
-        y2 = rough_steps(33)
-        assert (
-            rle_cdtw(x, y2, band=6, backend="python").distance
-            == rle_cdtw(x, y2, band=6, backend="numpy").distance
-        )
 
     def test_kernel_outputs_are_plain_floats(self):
         # serve answers are JSON-serialised; np.float64 must never
@@ -309,6 +268,26 @@ class TestBackendParity:
         B, R = rle_block_numpy([0.0, 1.0, 2.0], [0.0, 3.0], 1.0, 1, 2)
         for v in B + R:
             assert type(v) is float
+
+
+class TestBatchPath:
+    """The batch engine's ``rle_dtw`` route keeps the exactness
+    contract on every backend and pool size."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_distances_equal_dense_dtw(self, backend, workers):
+        rng = random.Random(60)
+        series = [step_series(rng, 30 + 3 * i) for i in range(5)]
+        rle = batch_distances(
+            series, measure="rle_dtw", backend=backend, workers=workers
+        )
+        dense = batch_distances(series, measure="dtw")
+        assert rle.pairs == dense.pairs
+        assert rle.distances == dense.distances
+        assert rle.cells_per_pair == tuple(
+            rle_dtw(series[i], series[j]).cells for i, j in rle.pairs
+        )
 
 
 class TestPoisonedScratch:

@@ -3,9 +3,7 @@
 ``repro.serve`` accepts ``(length, dims)`` collections and streams
 with the same guarantees as the scalar path: 1nn/knn answers equal
 the brute-force dependent scan, the coalesced parallel route is
-bit-identical to serial execution, telemetry still reconciles, and
-the scalar-only RLE fast path refuses multivariate data loudly
-instead of silently mangling it.
+bit-identical to serial execution, and telemetry still reconciles.
 """
 
 import random
@@ -81,15 +79,6 @@ class TestRegistration:
         entry = service.registry.get("gestures")
         assert entry.dims == 3
         assert entry.kind == "collection"
-
-    def test_nd_skips_rle_profile(self, service, collection):
-        """The compressed-domain engine is scalar, so nd datasets get
-        an inert RLE profile and never auto-route."""
-        service.register("gestures", collection)
-        entry = service.registry.get("gestures")
-        assert entry.run_counts == ()
-        assert entry.compression_ratio == 1.0
-        assert entry.rle_exact is False
 
     def test_nd_stream_records_dims(self, service):
         service.register_stream("walk", _nd_stream(n=40, dims=2, seed=1))
@@ -168,17 +157,6 @@ class Test1nnAndKnn:
         })
         assert not resp.ok
         assert "channel" in resp.error
-
-    def test_rle_forced_on_nd_dataset_refused(self, service, collection):
-        service.register("gestures", collection)
-        resp = service.execute({
-            "op": "1nn", "dataset": "gestures",
-            "query": make_vectors(14, 3, 7),
-            "band": 3, "rle": True,
-        })
-        assert not resp.ok
-        assert "multivariate" in resp.error
-        assert "univariate" in resp.error
 
 
 class TestStreamOps:

@@ -75,9 +75,12 @@ class TestRejections:
                 "query": [1.0],
             })
 
-    def test_unknown_parameter(self):
+    @pytest.mark.parametrize(
+        "extra", [{"radius": 2}, {"rle": True}], ids=["radius", "rle"]
+    )
+    def test_unknown_parameter(self, extra):
         with pytest.raises(ProtocolError, match="parameter"):
-            parse_request(_ok_1nn(radius=2))
+            parse_request(_ok_1nn(**extra))
 
     @pytest.mark.parametrize("band", [0, -1, 1.5, True, "3"])
     def test_bad_band(self, band):
@@ -105,19 +108,30 @@ class TestRejections:
             parse_request([1, 2, 3])
 
 
+SAMPLES = {
+    "1nn": _ok_1nn(),
+    "knn": {"op": "knn", "dataset": "d", "band": 3, "k": 2,
+            "query": [1.0, 2.0]},
+    "subsequence": {"op": "subsequence", "dataset": "s",
+                    "band": 2, "query": [1.0, 2.0]},
+    "discord": {"op": "discord", "dataset": "s", "window": 4,
+                "band": 2},
+    "motif": {"op": "motif", "dataset": "s", "window": 4,
+              "band": 2},
+}
+
+
 class TestOpsTable:
     def test_every_op_parses(self):
-        samples = {
-            "1nn": _ok_1nn(),
-            "knn": {"op": "knn", "dataset": "d", "band": 3, "k": 2,
-                    "query": [1.0, 2.0]},
-            "subsequence": {"op": "subsequence", "dataset": "s",
-                            "band": 2, "query": [1.0, 2.0]},
-            "discord": {"op": "discord", "dataset": "s", "window": 4,
-                        "band": 2},
-            "motif": {"op": "motif", "dataset": "s", "window": 4,
-                      "band": 2},
-        }
-        assert set(samples) == set(OPS)
-        for op, raw in samples.items():
+        assert set(SAMPLES) == set(OPS)
+        for op, raw in SAMPLES.items():
             assert parse_request(raw).op == op
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_no_op_takes_an_rle_switch(self, op):
+        # every op runs one exact route; there is no compressed-domain
+        # switch to set
+        with pytest.raises(
+            ProtocolError, match=f"op '{op}' does not take parameter 'rle'"
+        ):
+            parse_request({**SAMPLES[op], "rle": False})

@@ -1,8 +1,11 @@
 """DatasetRegistry naming + ArtifactCache fingerprint semantics."""
 
+import dataclasses
+
 import pytest
 
 from repro.serve import ArtifactCache, DatasetRegistry, ProtocolError
+from repro.serve.registry import RegisteredDataset
 from tests.conftest import make_series
 
 SERIES = [make_series(16, seed=700 + i) for i in range(4)]
@@ -54,6 +57,13 @@ class TestRegistry:
         reg.register("a", SERIES)
         reg.drop("a")
         assert reg.names() == ()
+
+    def test_entry_holds_content_not_a_route_profile(self):
+        # registration records what the data is; how a request is
+        # executed is decided per request, never profiled in here
+        assert [f.name for f in dataclasses.fields(RegisteredDataset)] == [
+            "name", "kind", "series", "fingerprint", "dims",
+        ]
 
 
 class TestArtifactCache:

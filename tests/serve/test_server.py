@@ -7,7 +7,7 @@ import pytest
 
 from repro.runtime import Runtime
 from repro.serve import AsyncQueryService, QueryService
-from repro.serve.server import serve
+from repro.serve.server import _MAX_LINE_BYTES, serve
 from tests.conftest import make_series
 
 SERIES = [make_series(20, seed=900 + i) for i in range(5)]
@@ -15,8 +15,39 @@ STREAM = make_series(50, seed=910)
 QUERY = make_series(20, seed=920)
 
 
+_NEXT_LINE = json.dumps({
+    "op": "1nn", "dataset": "coll", "band": 3, "query": QUERY,
+    "id": "next",
+}).encode() + b"\n"
+
+
 def _run(coro):
     return asyncio.run(coro)
+
+
+async def _exchange(payload: bytes, replies: int):
+    """Send raw bytes to a fresh server holding ``coll``; read replies."""
+    async with AsyncQueryService(
+        window_ms=5, runtime=Runtime(workers=1)
+    ) as service:
+        service.register("coll", SERIES)
+        server = await serve(service, host="127.0.0.1", port=0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            writer.write(payload)
+            await writer.drain()
+            return [
+                json.loads(await asyncio.wait_for(
+                    reader.readline(), timeout=30
+                ))
+                for _ in range(replies)
+            ]
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
 
 
 class TestAsyncQueryService:
@@ -136,6 +167,38 @@ class TestSocketServer:
         assert not garbage["ok"] and "json" in garbage["error"]
         assert stats["ok"]
         assert stats["stats"]["requests"] >= 2
+
+    @pytest.mark.parametrize("bad, cause", [
+        (b'{"op": "1nn", "dataset": "\xff"}\n', "not utf-8"),
+        # just over the 64 KiB limit, then far over it (several reads)
+        (b'{"pad": "' + b"x" * 70_000 + b'"}\n', "too long"),
+        (b'{"pad": "' + b"x" * 300_000 + b'"}\n', "too long"),
+    ], ids=["non_utf8", "over_limit", "far_over_limit"])
+    def test_unreadable_line_answered_then_next_line_served(
+        self, bad, cause
+    ):
+        refused, answered = _run(_exchange(bad + _NEXT_LINE, replies=2))
+        assert not refused["ok"] and cause in refused["error"]
+        assert answered["ok"] and answered["id"] == "next"
+
+    @pytest.mark.parametrize("extra, served", [(0, True), (1, False)],
+                             ids=["at_limit", "one_over"])
+    def test_line_limit_boundary(self, extra, served):
+        # a request padded to exactly the limit (newline excluded) is
+        # served; one byte more is refused, and the next line is
+        # served either way
+        request = _NEXT_LINE.rstrip(b"\n").replace(b'"next"', b'"edge"')
+        pad = _MAX_LINE_BYTES + extra - len(request)
+        line = request + b" " * pad + b"\n"
+        replies = _run(_exchange(line + _NEXT_LINE, replies=2))
+        # two served queries may finish in either order
+        by_id = {reply.get("id"): reply for reply in replies}
+        assert by_id["next"]["ok"]
+        if served:
+            assert by_id["edge"]["ok"]
+        else:
+            assert not by_id[None]["ok"]
+            assert "too long" in by_id[None]["error"]
 
     def test_pipelined_queries_share_a_window(self):
         async def main():

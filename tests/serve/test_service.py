@@ -9,9 +9,12 @@ on.
 """
 
 import os
+import random
 
 import pytest
 
+from repro.core.cdtw import cdtw
+from repro.core.rle import RleSeries
 from repro.runtime import Runtime
 from repro.serve import QueryService
 from tests.conftest import make_series
@@ -203,6 +206,140 @@ class TestTelemetry:
         assert stats.p99_latency_ms >= stats.p50_latency_ms > 0.0
         payload = stats.to_dict()
         assert {"p50_latency_ms", "p99_latency_ms"} <= payload.keys()
+
+
+def _steps(rng, n):
+    """A step series on a 1/16 grid, 6 to 18 samples per run."""
+    out = []
+    while len(out) < n:
+        out.extend([rng.randint(-48, 48) / 16] * rng.randint(6, 18))
+    return out[:n]
+
+
+_STEP_RNG = random.Random(12)
+STEPS = [_steps(_STEP_RNG, 48) for _ in range(12)]
+STEP_QUERIES = [_steps(_STEP_RNG, 48) for _ in range(3)]
+STEP_BAND = 4
+
+
+def _step_distances(query, series):
+    return [cdtw(query, s, band=STEP_BAND).distance for s in series]
+
+
+def _brute_1nn(query, series):
+    dists = _step_distances(query, series)
+    best = min(dists)
+    return {"index": dists.index(best), "distance": best}
+
+
+def _brute_knn(query, series, k):
+    dists = _step_distances(query, series)
+    ranked = sorted(range(len(series)), key=lambda j: (dists[j], j))
+    return [{"index": j, "distance": dists[j]} for j in ranked[:k]]
+
+
+class TestStepCollections:
+    def test_compressible_collection_takes_the_indexed_route(self):
+        # step data is no special case: a highly compressible, on-grid
+        # collection is searched by the same indexed cDTW cascade as
+        # any other, with the brute-force argmin-first answer
+        rng = random.Random(4)
+        steps = [_steps(rng, 96) for _ in range(32)]
+        query = _steps(rng, 96)
+        runs = sum(RleSeries.encode(s).run_count for s in steps)
+        assert 96 * len(steps) / runs >= 4.0
+        with QueryService(cache_results=False) as service:
+            service.register("steps", steps)
+            resp = service.execute({
+                "op": "1nn", "dataset": "steps", "band": 4,
+                "query": query,
+            })
+        assert resp.ok, resp.error
+        assert resp.telemetry.index_builds == 1
+        assert resp.telemetry.dtw_calls < len(steps)
+        dists = [cdtw(query, s, band=4).distance for s in steps]
+        best = min(dists)
+        assert resp.answer == {"index": dists.index(best), "distance": best}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("use_index", [True, False])
+    def test_1nn_equals_brute_force(self, workers, backend, use_index):
+        with QueryService(
+            runtime=Runtime(workers=workers, backend=backend),
+            use_index=use_index, cache_results=False,
+        ) as service:
+            service.register("steps", STEPS)
+            responses = [
+                service.execute({
+                    "op": "1nn", "dataset": "steps", "band": STEP_BAND,
+                    "query": q,
+                })
+                for q in STEP_QUERIES
+            ]
+        assert all(r.ok for r in responses), [r.error for r in responses]
+        assert [r.answer for r in responses] == [
+            _brute_1nn(q, STEPS) for q in STEP_QUERIES
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_knn_equals_brute_force(self, workers, backend):
+        with QueryService(
+            runtime=Runtime(workers=workers, backend=backend),
+            cache_results=False,
+        ) as service:
+            service.register("steps", STEPS)
+            resp = service.execute({
+                "op": "knn", "dataset": "steps", "band": STEP_BAND,
+                "k": 3, "query": STEP_QUERIES[0],
+            })
+        assert resp.ok, resp.error
+        assert resp.answer["neighbors"] == _brute_knn(
+            STEP_QUERIES[0], STEPS, 3
+        )
+
+    @pytest.mark.parametrize("route", ["index", "scan", "coalesced"])
+    def test_exact_ties_resolve_to_the_lowest_index(self, route):
+        # each series appears twice, so every query that is a member
+        # meets an exact tie at distance 0; every route must keep the
+        # first copy, as the serial scan does
+        twins = STEPS[:4] + STEPS[:4]
+        burst = [
+            {"op": "1nn", "dataset": "twins", "band": STEP_BAND,
+             "query": s, "index": route == "index"}
+            for s in twins[:4]
+        ]
+        workers = 2 if route == "coalesced" else 1
+        with QueryService(
+            runtime=Runtime(workers=workers), cache_results=False
+        ) as service:
+            service.register("twins", twins)
+            responses = service.execute_batch(burst)
+            coalesced = service.stats().coalesced_requests
+        assert coalesced == (len(burst) if route == "coalesced" else 0)
+        assert [r.answer for r in responses] == [
+            {"index": j, "distance": 0.0} for j in range(4)
+        ]
+
+    def test_knn_lists_exact_ties_in_index_order(self):
+        twins = STEPS[:4] + STEPS[:4]
+        with QueryService(cache_results=False) as service:
+            service.register("twins", twins)
+            resp = service.execute({
+                "op": "knn", "dataset": "twins", "band": STEP_BAND,
+                "k": 2, "query": twins[1],
+            })
+        assert resp.answer["neighbors"] == [
+            {"index": 1, "distance": 0.0}, {"index": 5, "distance": 0.0},
+        ]
+
+    @pytest.mark.parametrize("option, value", [
+        ("use_rle", True), ("rle_threshold", 4.0),
+    ])
+    def test_no_option_routes_step_data_elsewhere(self, option, value):
+        with pytest.raises(TypeError, match=option):
+            QueryService(**{option: value})
 
 
 class TestLifecycle:

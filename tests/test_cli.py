@@ -143,6 +143,34 @@ class TestKernels:
         ]) == 1
         assert "below required" in capsys.readouterr().err
 
+    def test_nd_default_out_is_multivariate_json(self, capsys, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "kernels", "--nd", "--smoke", "--workers", "1",
+            "--count", "3", "--length", "16", "--dims", "2",
+        ]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+        assert not (tmp_path / "BENCH_kernels.json").exists()
+        import json
+
+        report = json.loads(
+            (tmp_path / "BENCH_multivariate.json").read_text()
+        )
+        assert report["workload"]["dims"] == 2
+        assert report["cpu_count"] >= 1
+        assert report["parity"]["distances_identical"] is True
+
+    def test_nd_bad_dims_exits_2(self, capsys):
+        assert main([
+            "kernels", "--nd", "--smoke", "--dims", "1", "--out", "-",
+        ]) == 2
+        assert "dims" in capsys.readouterr().err
+
+    def test_warm_and_nd_are_exclusive(self, capsys):
+        assert main(["kernels", "--warm", "--nd", "--out", "-"]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
 
 class TestAdvise:
     def test_case_a(self, capsys):

@@ -168,24 +168,6 @@ def test_rle_block():
     assert fast.distance == dtw(x, y).distance  # bit-identical
     assert fast.cells < dtw(x, y).cells         # far fewer cells
 
-    # the README's routing claim: auto-routed serve answers are
-    # identical to the dense path
-    from repro.serve import QueryService
-
-    with QueryService(cache_results=False) as service:
-        service.register("steps", [x, y])
-        entry = service.registry.get("steps")
-        assert entry.rle_exact and entry.compression_ratio >= 4.0
-        routed = service.execute(
-            {"op": "1nn", "dataset": "steps", "band": 6, "query": x}
-        )
-        dense = service.execute(
-            {"op": "1nn", "dataset": "steps", "band": 6, "query": x,
-             "rle": False}
-        )
-    assert routed.ok and dense.ok
-    assert routed.answer == dense.answer
-
 
 def test_multivariate_block():
     from repro.batch import batch_distances

@@ -119,7 +119,7 @@ class TestExplicitPin:
             raise AssertionError("numpy kernel reached the harness")
 
         monkeypatch.setattr(nb, "dtw_numpy", boom)
-        monkeypatch.setattr(nb, "dtw_numpy_batch", boom)
+        monkeypatch.setattr(nb, "dtw_chunk", boom)
         series = [make_series(16, s) for s in range(4)]
         plain = batch_pairwise_experiment(series, band=2)
         with use_runtime(Runtime(backend="numpy", workers=2)):

@@ -1,15 +1,18 @@
-"""Schema smoke test for the executor benchmark report.
+"""Schema smoke tests for the executor and multivariate bench reports.
 
 ``python -m repro kernels --warm`` writes ``BENCH_batch.json`` from
-:func:`repro.timing.kernel_bench.executor_benchmark`; downstream
+:func:`repro.timing.kernel_bench.executor_benchmark`, and
+``kernels --nd`` writes ``BENCH_multivariate.json`` from
+:func:`~repro.timing.kernel_bench.multivariate_benchmark`; downstream
 tooling (the CI speedup gates, the README table) reads specific keys
 at full float precision, so the emitted schema is a contract.  The
-workload here is tiny -- the timings are meaningless, only the shape
-and types of the report matter.
+workloads here are tiny -- the timings are meaningless, only the shape
+and types of the reports matter.
 """
 
 import json
 import math
+import os
 
 import pytest
 
@@ -18,6 +21,8 @@ pytest.importorskip("numpy")
 from repro.timing.kernel_bench import (  # noqa: E402
     executor_benchmark,
     format_executor_report,
+    format_report,
+    multivariate_benchmark,
 )
 
 TIMING_LABELS = (
@@ -121,3 +126,78 @@ class TestExecutorReportSchema:
         text = format_executor_report(report)
         assert "stacked kernel calls" in text
         assert "pad waste" in text
+
+
+ND_TIMING_LABELS = (
+    "python_serial", "numpy_serial", "python_workers", "numpy_workers",
+)
+
+
+@pytest.fixture(scope="module")
+def nd_report():
+    return multivariate_benchmark(
+        length=16, count=4, window=0.2, workers=2, repeats=1, seed=0,
+        dims=2,
+    )
+
+
+class TestMultivariateReportSchema:
+    """``python -m repro kernels --nd`` writes this report verbatim
+    (``BENCH_multivariate.json``)."""
+
+    def test_top_level_keys(self, nd_report):
+        assert nd_report["benchmark"] == (
+            "repro.timing.kernel_bench/multivariate"
+        )
+        for key in (
+            "note", "cpu_count", "workload", "timings",
+            "speedups_over_python_serial", "single_pair", "parity",
+        ):
+            assert key in nd_report
+
+    def test_cpu_count_recorded(self, nd_report):
+        assert type(nd_report["cpu_count"]) is int
+        assert nd_report["cpu_count"] == (os.cpu_count() or 1)
+
+    def test_workload_records_the_shape(self, nd_report):
+        w = nd_report["workload"]
+        assert (w["count"], w["length"], w["dims"]) == (4, 16, 2)
+        assert w["pairs"] == 4 * 3 // 2
+        assert w["measure"] == "cdtw_d"
+
+    def test_timing_rows(self, nd_report):
+        assert tuple(nd_report["timings"]) == ND_TIMING_LABELS
+        for row in nd_report["timings"].values():
+            assert row["seconds"] > 0
+            assert row["per_pair_seconds"] > 0
+        assert set(nd_report["speedups_over_python_serial"]) == set(
+            ND_TIMING_LABELS[1:]
+        )
+
+    def test_parity_holds(self, nd_report):
+        assert nd_report["parity"] == {
+            "distances_identical": True, "cells_identical": True,
+        }
+        assert nd_report["single_pair"]["identical"] is True
+
+    def test_format_names_channels_and_parity(self, nd_report):
+        text = format_report(nd_report)
+        assert "cdtw_d" in text and "d=2" in text
+        assert "bit-identical across backends" in text
+
+    def test_serial_plan_has_no_worker_rows(self):
+        report = multivariate_benchmark(
+            length=8, count=2, workers=1, repeats=1, dims=2
+        )
+        assert tuple(report["timings"]) == ND_TIMING_LABELS[:2]
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"count": 1}, "count"),
+        ({"length": 1}, "length"),
+        ({"workers": 0}, "workers"),
+        ({"repeats": 0}, "repeats"),
+        ({"dims": 1}, "dims"),
+    ], ids=["count", "length", "workers", "repeats", "dims"])
+    def test_rejects_bad_workload(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            multivariate_benchmark(**{"length": 8, "count": 2, **bad})
