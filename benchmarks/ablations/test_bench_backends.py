@@ -7,14 +7,15 @@ wavefront kernel accelerates exact cDTW while returning bit-identical
 distances, so under either backend exact cDTW undercuts FastDTW.
 """
 
-import numpy as np
-
 from repro.core.cdtw import cdtw
 from repro.core.fastdtw import fastdtw
-from repro.core.numpy_backend import dtw_numpy
+from repro.core.measures import measure_fn
 from repro.datasets.random_walk import random_walk
 
 N = 512
+
+#: the numpy backend's per-pair banded distance (a one-pair stack)
+numpy_cdtw_fn = measure_fn("cdtw", band=26, backend="numpy")
 
 
 def _pair():
@@ -28,14 +29,12 @@ class TestBackendAblation:
 
     def test_numpy_banded(self, benchmark):
         x, y = _pair()
-        xa, ya = np.array(x), np.array(y)
-        assert benchmark(lambda: dtw_numpy(xa, ya, band=26)).distance >= 0
+        assert benchmark(lambda: numpy_cdtw_fn(x, y)).distance >= 0
 
     def test_backends_agree(self, benchmark):
         x, y = _pair()
         pure = cdtw(x, y, band=26).distance
-        vect = benchmark(lambda: dtw_numpy(np.array(x), np.array(y),
-                                           band=26).distance)
+        vect = benchmark(lambda: numpy_cdtw_fn(x, y).distance)
         assert pure == vect
 
     def test_numpy_cdtw_vs_fastdtw_verdict_unchanged(self, benchmark,
@@ -45,7 +44,6 @@ class TestBackendAblation:
         x, y = _pair()
         benchmark.pedantic(lambda: cdtw(x, y, band=26),
                            rounds=1, iterations=1)
-        xa, ya = np.array(x), np.array(y)
 
         def clock(fn):
             best = float("inf")
@@ -55,7 +53,7 @@ class TestBackendAblation:
                 best = min(best, time.perf_counter() - start)
             return best
 
-        numpy_cdtw = clock(lambda: dtw_numpy(xa, ya, band=26))
+        numpy_cdtw = clock(lambda: numpy_cdtw_fn(x, y))
         pure_cdtw = clock(lambda: cdtw(x, y, band=26))
         fast = clock(lambda: fastdtw(x, y, radius=10))
         save_report(

@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.dtw import dtw
 from ..core.engine import DtwResult, dp_over_window
+from ..core.kernels import stacked_kernels
 from ..core.validate import validate_series
 from ..core.window import Window
 from ..runtime import Runtime
@@ -125,10 +126,10 @@ def learn_band_radii(
 def _alignment_paths(series, pair_indices, rt: Runtime):
     """Full-DTW warping paths for ``pair_indices``, in order.
 
-    The serial context aligns pair by pair on the runtime's kernel
-    backend; a parallel one computes all alignments as a single
-    :mod:`repro.batch` job.  Both recover identical paths (the
-    diagonal-first backtracking tie-break is backend-invariant).
+    The serial context aligns pair by pair in the pure engine, which
+    computes every path whatever the backend; a parallel one computes
+    all alignments as a single :mod:`repro.batch` job.  Both recover
+    identical paths.
     """
     if rt.parallel:
         from ..batch.engine import batch_distances
@@ -141,20 +142,8 @@ def _alignment_paths(series, pair_indices, rt: Runtime):
             runtime=rt,
         )
         return list(result.paths)
-    kernels = rt.kernels()
-    if kernels.name == "python":
-        return [
-            dtw(series[a], series[b], return_path=True).path
-            for a, b in pair_indices
-        ]
-    from ..core.kernels import full_window
-
     return [
-        kernels.dtw(
-            series[a], series[b],
-            full_window(len(series[a]), len(series[b])),
-            return_path=True,
-        ).path
+        dtw(series[a], series[b], return_path=True).path
         for a, b in pair_indices
     ]
 
@@ -195,7 +184,10 @@ def learned_band_dtw(
 
     ``radii`` must have been learned for series of ``len(x)`` rows.
     Only the runtime's kernel backend applies (one DP is not worth a
-    fan-out); the result is bit-identical on every backend.
+    fan-out), through :func:`repro.core.kernels.stacked_kernels`: a
+    plain distance on ``"numpy"`` is a one-pair stacked call, a path
+    or an abandoning DP runs the pure engine.  The result is
+    bit-identical on every backend.
     """
     if len(x) != len(radii):
         raise ValueError(
@@ -203,16 +195,14 @@ def learned_band_dtw(
         )
     rt = Runtime.resolve(runtime)
     window = window_from_radii(radii, len(y))
-    kernels = rt.kernels()
-    if kernels.name == "python":
+    kernels = stacked_kernels(rt.backend_name, return_path, abandon_above)
+    if kernels is None:
         return dp_over_window(
             x, y, window, cost=cost, return_path=return_path,
             abandon_above=abandon_above,
         )
+    from ..core.measures import _one_pair
     from ..core.validate import validate_pair
 
     validate_pair(x, y)
-    return kernels.dtw(
-        x, y, window, cost=cost, return_path=return_path,
-        abandon_above=abandon_above,
-    )
+    return _one_pair(kernels, x, y, window, cost)

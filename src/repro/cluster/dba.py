@@ -157,14 +157,7 @@ def _alignments(centre, lists, band, rt: Runtime):
             runtime=rt,
         )
         return list(result.paths)
-    if rt.backend_name != "python":
-        from ..core.measures import measure_fn
-
-        fn = measure_fn(
-            "dtw" if band is None else "cdtw", band=band,
-            return_path=True, backend=rt.backend_name,
-        )
-        return [fn(centre, s).path for s in lists]
+    # paths come from the pure engine on every backend
     if band is None:
         return [dtw(centre, s, return_path=True).path for s in lists]
     return [

@@ -50,7 +50,7 @@ from .multivariate import (
     vector_abs_cost,
     vector_squared_cost,
 )
-from .numpy_backend import dtw_numpy, pairwise_matrix_numpy
+from .numpy_backend import pairwise_matrix_numpy
 from .validate import validate_pair, validate_series
 from .paa import halve, paa, paa_factor
 from .path import InvalidPathError, WarpingPath, diagonal_path
@@ -87,7 +87,6 @@ __all__ = [
     "dp_over_window",
     "dtw",
     "dtw_nd",
-    "dtw_numpy",
     "euclidean",
     "euclidean_l2",
     "fastdtw",

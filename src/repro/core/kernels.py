@@ -11,12 +11,19 @@ their compute kernels without knowing who provides them:
   (:func:`repro.core.engine.dp_over_window` and the scalar
   lower-bound implementations).  The default; bit-for-bit the
   behaviour every consumer had before the registry existed.
-* ``backend="numpy"`` -- the vectorised kernels of
-  :mod:`repro.core.numpy_backend`.  DTW distances, cells, paths and
-  abandon decisions are bit-identical to the pure engine (enforced by
+* ``backend="numpy"`` -- the stacked kernels of
+  :mod:`repro.core.numpy_backend`.  Stacked DTW distances are
+  bit-identical to the pure engine (enforced by
   ``tests/core/test_numpy_parity.py``), and so are the lower bounds:
   the chunk kernels sum gap costs in the scalar implementations'
   sequential order.
+
+A backend contributes *stacked* kernels only.  The per-pair DP has
+one implementation, :func:`repro.core.engine.dp_over_window`:
+:func:`stacked_kernels` is the rule that sends a plain per-pair
+distance on a stacked backend to a one-pair ``dtw_chunk`` call and
+every other per-pair DP -- a path, an early-abandoning DP, or any DP
+on the python backend -- to the engine.
 
 Consumers resolve a backend *per call* (``backend=`` keyword, with
 ``None`` meaning "the process default") and fetch a
@@ -48,6 +55,7 @@ __all__ = [
     "use_backend",
     "resolve_backend",
     "get_kernels",
+    "stacked_kernels",
 ]
 
 
@@ -59,23 +67,16 @@ class KernelSet:
     ----------
     name:
         The backend's registry name.
-    dtw:
-        ``dtw(x, y, window, cost="squared", return_path=False,
-        abandon_above=None, suffix_bound=None) -> DtwResult`` -- the
-        windowed DP, semantics of
-        :func:`repro.core.engine.dp_over_window`.
     envelope:
         ``envelope(x, band) -> Envelope`` (Lemire warping envelope).
     lb_kim:
         ``lb_kim(query, candidates, cost="squared", tiers=2)`` ->
         per-candidate bounds (sequence-like of floats).
-    suffix_gap_bounds:
-        ``suffix_gap_bounds(x, y_envelope, squared=True)`` -> per-row
-        suffix bounds for cumulative early abandoning.
     dtw_chunk:
         ``dtw_chunk(xs, ys, window, cost="squared", count=None)`` ->
         per-pair distances for one shape-homogeneous stacked chunk.
-        Every distance is bit-identical to ``dtw`` on the same pair;
+        Every distance is bit-identical to
+        :func:`repro.core.engine.dp_over_window` on the same pair;
         rows at index ``count`` and beyond are padding and are never
         read (see :func:`repro.core.numpy_backend.dtw_chunk`).
     envelope_chunk:
@@ -104,17 +105,14 @@ class KernelSet:
         (values and abandon decisions).  ``keogh`` optionally supplies
         the full first-pass bounds so a cascade can reuse its
         forward-Keogh stage.
-    dtw_nd:
-        ``dtw_nd(x, y, window, cost="squared", return_path=False,
-        abandon_above=None) -> DtwResult`` -- the windowed *dependent*
-        multivariate DP over ``(length, dims)`` series, bit-identical
-        to :func:`repro.core.engine.dp_over_window` with the resolved
-        vector cost of :mod:`repro.core.multivariate` (channels
-        accumulate sequentially per lattice cell).
     dtw_nd_chunk:
         ``dtw_nd_chunk(xs, ys, window, cost="squared", count=None)``
-        -> per-pair dependent distances for one shape-homogeneous
-        ``(chunk, length, dims)`` stack; rows at index ``count`` and
+        -> per-pair *dependent* multivariate distances for one
+        shape-homogeneous ``(chunk, length, dims)`` stack, each
+        bit-identical to :func:`repro.core.engine.dp_over_window`
+        with the resolved vector cost of
+        :mod:`repro.core.multivariate` (channels accumulate
+        sequentially per lattice cell); rows at index ``count`` and
         beyond are padding and are never read.
     envelope_nd_chunk:
         ``envelope_nd_chunk(series, band, count=None)`` ->
@@ -129,16 +127,13 @@ class KernelSet:
     """
 
     name: str
-    dtw: Callable
     envelope: Callable
     lb_kim: Callable
-    suffix_gap_bounds: Callable
     dtw_chunk: Callable
     envelope_chunk: Callable
     lb_keogh_chunk: Callable
     lb_improved_chunk: Callable
     rle_block: Callable
-    dtw_nd: Callable
     dtw_nd_chunk: Callable
     envelope_nd_chunk: Callable
     lb_keogh_nd_chunk: Callable
@@ -147,7 +142,6 @@ class KernelSet:
 def _build_python() -> KernelSet:
     from ..lowerbounds.envelope import envelope
     from ..lowerbounds.lb_kim import lb_kim
-    from ..search.cumulative import suffix_gap_bounds
     from .engine import dp_over_window
     from .rle import rle_block_python
 
@@ -224,15 +218,6 @@ def _build_python() -> KernelSet:
             out.append(total)
         return out
 
-    def dtw_nd_one(x, y, window, cost="squared", return_path=False,
-                   abandon_above=None):
-        from .multivariate import _resolve_vector_cost
-
-        return dp_over_window(
-            x, y, window, cost=_resolve_vector_cost(cost),
-            return_path=return_path, abandon_above=abandon_above,
-        )
-
     def dtw_nd_chunk_each(xs, ys, window, cost="squared", count=None):
         from .multivariate import _resolve_vector_cost
 
@@ -294,16 +279,13 @@ def _build_python() -> KernelSet:
 
     return KernelSet(
         name="python",
-        dtw=dp_over_window,
         envelope=envelope,
         lb_kim=lb_kim_each,
-        suffix_gap_bounds=suffix_gap_bounds,
         dtw_chunk=dtw_chunk_each,
         envelope_chunk=envelope_chunk_each,
         lb_keogh_chunk=lb_keogh_chunk_each,
         lb_improved_chunk=lb_improved_chunk_each,
         rle_block=rle_block_python,
-        dtw_nd=dtw_nd_one,
         dtw_nd_chunk=dtw_nd_chunk_each,
         envelope_nd_chunk=envelope_nd_chunk_each,
         lb_keogh_nd_chunk=lb_keogh_nd_chunk_each,
@@ -315,29 +297,11 @@ def _build_numpy() -> KernelSet:
     from . import numpy_backend as nb
     from .rle_numpy import rle_block_numpy
 
-    def dtw(x, y, window, cost="squared", return_path=False,
-            abandon_above=None, suffix_bound=None):
-        # mirror the pure engine's observability hook so the ``dp.*``
-        # counters are backend-invariant (the counter-parity contract)
-        trace = _obs._ACTIVE
-        if trace is None:
-            return nb.dtw_numpy(
-                x, y, window=window, cost=cost, return_path=return_path,
-                abandon_above=abandon_above, suffix_bound=suffix_bound,
-            )
-        with _obs.span("dp"):
-            result = nb.dtw_numpy(
-                x, y, window=window, cost=cost, return_path=return_path,
-                abandon_above=abandon_above, suffix_bound=suffix_bound,
-            )
-        _obs.record_dp(trace, result)
-        return result
-
     def dtw_chunk(xs, ys, window, cost="squared", count=None):
         # the stacked kernel bypasses the per-call dp hooks, so the
         # dp.* counters are charged here: one call and
         # ``window.cell_count()`` lattice cells per real pair, exactly
-        # what the per-pair path records (the counter-parity contract)
+        # what the engine's hook records (the counter-parity contract)
         with _obs.span("dp"):
             distances = nb.dtw_chunk(
                 xs, ys, window, cost=cost, count=count
@@ -345,23 +309,6 @@ def _build_numpy() -> KernelSet:
         _obs.incr("dp.calls", len(distances))
         _obs.incr("dp.cells", window.cell_count() * len(distances))
         return distances
-
-    def dtw_nd(x, y, window, cost="squared", return_path=False,
-               abandon_above=None):
-        # same observability mirror as the scalar ``dtw`` wrapper
-        trace = _obs._ACTIVE
-        if trace is None:
-            return nb.dtw_nd_numpy(
-                x, y, window=window, cost=cost, return_path=return_path,
-                abandon_above=abandon_above,
-            )
-        with _obs.span("dp"):
-            result = nb.dtw_nd_numpy(
-                x, y, window=window, cost=cost, return_path=return_path,
-                abandon_above=abandon_above,
-            )
-        _obs.record_dp(trace, result)
-        return result
 
     def dtw_nd_chunk(xs, ys, window, cost="squared", count=None):
         # same counter-parity accounting as the scalar ``dtw_chunk``
@@ -375,16 +322,13 @@ def _build_numpy() -> KernelSet:
 
     return KernelSet(
         name="numpy",
-        dtw=dtw,
         envelope=nb.envelope_numpy,
         lb_kim=nb.lb_kim_batch,
-        suffix_gap_bounds=nb.suffix_gap_bounds_numpy,
         dtw_chunk=dtw_chunk,
         envelope_chunk=nb.envelope_chunk,
         lb_keogh_chunk=nb.lb_keogh_chunk,
         lb_improved_chunk=nb.lb_improved_chunk,
         rle_block=rle_block_numpy,
-        dtw_nd=dtw_nd,
         dtw_nd_chunk=dtw_nd_chunk,
         envelope_nd_chunk=nb.envelope_nd_chunk,
         lb_keogh_nd_chunk=nb.lb_keogh_nd_chunk,
@@ -471,6 +415,27 @@ def get_kernels(backend: Optional[str] = None) -> KernelSet:
     if built is None:
         built = _BUILT[name] = _BUILDERS[name]()
     return built
+
+
+def stacked_kernels(
+    backend: Optional[str] = None,
+    return_path: bool = False,
+    abandon_above: Optional[float] = None,
+) -> Optional[KernelSet]:
+    """The per-pair DP rule: the kernel set that runs one pair as a
+    one-pair stack, or ``None`` when the engine runs it.
+
+    Only a plain distance on a stacked backend (``"numpy"``) takes the
+    stack -- a one-pair ``dtw_chunk`` / ``dtw_nd_chunk`` call, the
+    same wavefront the batch engine runs.  A DP that returns a path
+    or may abandon, and any DP on the python backend, runs
+    :func:`repro.core.engine.dp_over_window`: one implementation,
+    bit-identical answers and ``dp.*`` counters on every backend.
+    """
+    if return_path or abandon_above is not None:
+        return None
+    name = resolve_backend(backend)
+    return None if name == "python" else get_kernels(name)
 
 
 # -- shared window memoisation -------------------------------------------

@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Tuple
 
 from .cdtw import cdtw
-from .cost import CostLike
+from .cost import CostLike, cost_name
 from .dtw import dtw
+from .engine import DtwResult
 from .euclidean import euclidean
 from .fastdtw import fastdtw
 from .fastdtw_reference import fastdtw_reference
@@ -83,13 +84,16 @@ def measure_fn(
         Ask the exact measures to also recover the warping path (the
         fastdtw measures always return one; Euclidean has none).
     backend:
-        Kernel backend for the exact DP measures (``"dtw"``/``"cdtw"``
-        and ``"rle_dtw"``),
-        resolved via :func:`repro.core.kernels.resolve_backend`
-        (``None`` = the process default).  The fastdtw measures and
-        Euclidean always run their reference implementations; the
-        ``"numpy"`` backend returns bit-identical distances, cells and
-        paths but requires a named ``cost``.
+        Kernel backend for the exact DP measures (``"dtw"``/``"cdtw"``,
+        the multivariate measures and ``"rle_dtw"``), resolved via
+        :func:`repro.core.kernels.resolve_backend` (``None`` = the
+        process default).  On ``"numpy"`` a plain distance is a
+        one-pair stacked kernel call, which requires a named ``cost``;
+        a path comes from the pure engine on every backend
+        (:func:`repro.core.kernels.stacked_kernels`).  Distances,
+        cells and paths are bit-identical across backends.  The
+        fastdtw measures and Euclidean always run their reference
+        implementations.
 
     Returns
     -------
@@ -98,7 +102,7 @@ def measure_fn(
         ``"euclidean"``); unwrap uniformly with :func:`split_result`.
     """
     validate_measure(measure)
-    from .kernels import resolve_backend
+    from .kernels import resolve_backend, stacked_kernels
 
     resolved = resolve_backend(backend)
     if measure == "rle_dtw":
@@ -109,12 +113,13 @@ def measure_fn(
         )
     if measure in ND_MEASURES:
         return _nd_measure_fn(
-            measure, resolved, window, band, cost, return_path
+            measure, stacked_kernels(resolved, return_path), window,
+            band, cost, return_path,
         )
-    if resolved != "python" and measure in ("dtw", "cdtw"):
-        return _kernel_measure_fn(
-            measure, resolved, window, band, cost, return_path
-        )
+    if measure in ("dtw", "cdtw"):
+        kernels = stacked_kernels(resolved, return_path)
+        if kernels is not None:
+            return _kernel_measure_fn(measure, kernels, window, band, cost)
     if measure == "dtw":
         return lambda x, y: dtw(x, y, cost=cost, return_path=return_path)
     if measure == "cdtw":
@@ -129,78 +134,71 @@ def measure_fn(
     return lambda x, y: euclidean(x, y, cost=cost)
 
 
+def _one_pair(kernels, x, y, window, cost) -> DtwResult:
+    """``dtw_chunk`` over the one pair ``(x, y)``, as the engine's
+    result (``cells`` is the window's, as the engine counts them)."""
+    distance = kernels.dtw_chunk((x,), (y,), window, cost=cost)[0]
+    return DtwResult(float(distance), None, window.cell_count(),
+                     cost_name(cost))
+
+
 def _kernel_measure_fn(
     measure: str,
-    backend: str,
+    kernels,
     window: Optional[float],
     band: Optional[int],
     cost: CostLike,
-    return_path: bool,
 ) -> PairwiseFn:
-    """The dtw/cdtw callable routed through a non-default kernel set.
+    """The plain dtw/cdtw distance as one-pair stacked kernel calls.
 
     Mirrors :func:`repro.core.dtw.dtw` / :func:`repro.core.cdtw.cdtw`
-    exactly (same validation, same window construction) but evaluates
-    the DP with the chosen backend's kernels; windows are memoised
-    because construction is O(n) Python, which shows once the DP runs
-    at kernel speed.
+    exactly (same validation, same window construction); windows are
+    memoised because construction is O(n) Python, which shows once
+    the DP runs at kernel speed.
     """
-    from .kernels import (
-        banded_window,
-        fraction_window,
-        full_window,
-        get_kernels,
-    )
+    from .kernels import banded_window, fraction_window, full_window
     from .validate import validate_pair
 
-    kernels = get_kernels(backend)
-    if measure == "dtw":
-        def full_fn(x, y):
-            validate_pair(x, y)
-            win = full_window(len(x), len(y))
-            return kernels.dtw(
-                x, y, win, cost=cost, return_path=return_path
-            )
-        return full_fn
-
-    if (window is None) == (band is None):
+    if measure == "cdtw" and (window is None) == (band is None):
         raise ValueError("specify exactly one of window= or band=")
 
-    def banded_fn(x, y):
+    def fn(x, y):
         validate_pair(x, y)
         n, m = len(x), len(y)
-        if window is not None:
+        if measure == "dtw":
+            win = full_window(n, m)
+        elif window is not None:
             win = fraction_window(n, m, window)
         else:
             win = banded_window(n, m, band)
-        return kernels.dtw(x, y, win, cost=cost, return_path=return_path)
-    return banded_fn
+        return _one_pair(kernels, x, y, win, cost)
+    return fn
 
 
 def _nd_measure_fn(
     measure: str,
-    backend: str,
+    kernels,
     window: Optional[float],
     band: Optional[int],
     cost: CostLike,
     return_path: bool,
 ) -> PairwiseFn:
-    """The multivariate measure callable for one backend.
+    """The multivariate measure callable.
 
-    The dependent measures (``dtw_d``/``cdtw_d``) run one DP with the
-    per-sample vector cost: the pure engine via
-    :mod:`repro.core.multivariate` on the ``"python"`` backend, the
-    backend's stacked ``dtw_nd`` kernel otherwise (bit-identical by
-    the nd kernel-parity contract).  The independent measures
-    (``dtw_i``/``cdtw_i``) are per-channel *scalar* DTWs summed in
-    channel order, so they dispatch each channel through the backend's
-    scalar ``dtw`` kernel -- the sum of bit-identical terms is
+    ``kernels`` is :func:`repro.core.kernels.stacked_kernels`'s pick.
+    Without one, the pure engine runs via :mod:`repro.core.multivariate`.
+    With one, the dependent measures (``dtw_d``/``cdtw_d``) are
+    one-pair ``dtw_nd_chunk`` calls over the per-sample vector cost,
+    and the independent measures (``dtw_i``/``cdtw_i``) are
+    per-channel *scalar* DTWs summed in channel order, each channel a
+    one-pair ``dtw_chunk`` call -- the sum of bit-identical terms is
     bit-identical.
     """
-    from .kernels import banded_window, fraction_window, full_window, get_kernels
+    from .kernels import banded_window, fraction_window, full_window
     from .multivariate import (
         _as_vectors,
         _check_same_dim,
+        _resolve_vector_cost,
         cdtw_i,
         cdtw_nd,
         dtw_i,
@@ -217,7 +215,7 @@ def _nd_measure_fn(
             "(it is unconstrained; use cdtw_d/cdtw_i for banded)"
         )
 
-    if backend == "python":
+    if kernels is None:
         if measure == "dtw_d":
             return lambda x, y: dtw_nd(
                 x, y, cost=cost, return_path=return_path
@@ -236,8 +234,6 @@ def _nd_measure_fn(
             return_path=return_path,
         )
 
-    kernels = get_kernels(backend)
-
     def _win(n: int, m: int):
         if measure in ("dtw_d", "dtw_i"):
             return full_window(n, m)
@@ -250,21 +246,18 @@ def _nd_measure_fn(
             vx = _as_vectors(x, "series x")
             vy = _as_vectors(y, "series y")
             _check_same_dim(vx, vy)
-            return kernels.dtw_nd(
-                vx, vy, _win(len(vx), len(vy)), cost=cost,
-                return_path=return_path,
-            )
+            win = _win(len(vx), len(vy))
+            distance = kernels.dtw_nd_chunk((vx,), (vy,), win, cost=cost)[0]
+            # named after the vector cost, as the engine names it
+            return DtwResult(float(distance), None, win.cell_count(),
+                             cost_name(_resolve_vector_cost(cost)))
         return dependent_fn
 
-    def channel(cx, cy, ab):
-        return kernels.dtw(
-            cx, cy, _win(len(cx), len(cy)), cost=cost,
-            return_path=return_path, abandon_above=ab,
-        )
+    # measure_fn never abandons, so each channel's budget is None
+    def channel(cx, cy, _budget):
+        return _one_pair(kernels, cx, cy, _win(len(cx), len(cy)), cost)
 
-    return lambda x, y: independent_nd(
-        x, y, channel, cost=cost, return_path=return_path
-    )
+    return lambda x, y: independent_nd(x, y, channel, cost=cost)
 
 
 def pair_cost_model(

@@ -1,4 +1,4 @@
-"""NumPy-vectorised DTW and lower-bound kernels.
+"""NumPy-vectorised stacked DTW and lower-bound kernels.
 
 The paper's head-to-head timings intentionally use the pure-Python
 engine for *both* algorithms ("implemented in the same language,
@@ -6,15 +6,19 @@ running on the same hardware") -- :mod:`repro.timing` is pinned to it.
 Everything *around* the head-to-head, however, is a repeated-use
 workload (classification, clustering, similarity search), and there
 the ROADMAP's goal is "as fast as the hardware allows".  This module
-is the NumPy side of the :mod:`repro.core.kernels` registry: a
-feature-parity drop-in for :func:`repro.core.engine.dp_over_window`
-plus batched envelope/LB kernels for pruning cascades.
+is the NumPy side of the :mod:`repro.core.kernels` registry: stacked
+DP kernels that compute many pair distances per call, plus batched
+envelope/LB kernels for pruning cascades.
 
-Parity is *bit-level*, not approximate: :func:`dtw_numpy` returns the
-very same ``DtwResult`` fields -- distance, ``cells``, recovered path
-(identical diagonal-first tie-breaking) and abandon decisions -- that
-the pure engine produces, down to the last ulp.  The test-suite
-(``tests/core/test_numpy_parity.py``) fuzzes that contract.
+There is no per-pair DP here.  A DP that returns a path or may
+abandon runs :func:`repro.core.engine.dp_over_window` on every
+backend; a plain per-pair distance is a one-pair :func:`dtw_chunk` /
+:func:`dtw_nd_chunk` call (see :func:`repro.core.kernels.stacked_kernels`).
+
+Parity is *bit-level*, not approximate: every distance a stacked
+kernel returns equals the pure engine's, down to the last ulp.  The
+test-suite (``tests/core/test_numpy_parity.py``,
+``tests/core/test_chunk_kernels.py``) fuzzes that contract.
 
 How the DP is vectorised while staying bit-identical
 ----------------------------------------------------
@@ -25,42 +29,26 @@ final values do not depend on the order cells were filled in.  Any
 schedule that finishes a cell's predecessors first therefore produces
 bitwise the same lattice (IEEE-754 ``+`` is commutative and ``min`` is
 a true minimum, so the combining arithmetic is operand-identical).
-
-* The fast path sweeps **anti-diagonal wavefronts** (``i + j = d``):
-  all three predecessors of a wavefront-``d`` cell sit on wavefronts
-  ``d-1``/``d-2``, so each step is a handful of whole-front NumPy ops
-  with no intra-step dependency at all.  Feasible windows make each
-  wavefront a contiguous row interval, so fronts are plain slices.
-* ``return_path`` and ``abandon_above`` need *row-major* order (rows
-  are what gets retained and what abandon decisions are defined over),
-  so those take a row sweep instead: diagonal/vertical predecessors
-  vectorise directly, and the in-row horizontal recurrence
-  ``cur[j] = min(acc[j], cur[j-1] + local[j])`` is solved by a
-  verified prefix-minimum candidate (the recurrence's solution is
-  unique, so a candidate that passes a vectorised exact-equality check
-  against it *is* the sequential result) with an exact sequential
-  fold for rows where verification fails.
-
-``dtw_chunk`` advances a whole stack of equal-shape pairs through
-each wavefront together, which is where the large speedups live:
-per-step NumPy dispatch overhead is amortised over the batch.
+The kernels sweep **anti-diagonal wavefronts** (``i + j = d``): all
+three predecessors of a wavefront-``d`` cell sit on wavefronts
+``d-1``/``d-2``, so each step is a handful of whole-front NumPy ops
+with no intra-step dependency at all.  Feasible windows make each
+wavefront a contiguous row interval, so fronts are plain slices.
+A whole stack of equal-shape pairs advances through each wavefront
+together, which amortises the per-step NumPy dispatch over the stack.
 """
 
 from __future__ import annotations
 
-from math import inf
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cost import BUILTIN_COSTS, CostLike
-from .engine import DtwResult, _backtrack
 from .window import Window
 
 __all__ = [
-    "dtw_numpy",
     "dtw_chunk",
-    "dtw_nd_numpy",
     "dtw_nd_chunk",
     "envelope_nd_chunk",
     "lb_keogh_nd_chunk",
@@ -69,7 +57,6 @@ __all__ = [
     "envelope_chunk",
     "lb_keogh_chunk",
     "lb_kim_batch",
-    "suffix_gap_bounds_numpy",
 ]
 
 _INF = np.inf
@@ -103,34 +90,6 @@ def _as_series(x, name: str) -> np.ndarray:
         i = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise ValueError(f"series {name}: sample {i} is not finite ({arr[i]!r})")
     return arr
-
-
-def _resolve_window(n: int, m: int, window: Optional[Window],
-                    band: Optional[int]) -> Window:
-    if window is not None and band is not None:
-        raise ValueError("pass either window= or band=, not both")
-    if window is not None:
-        return window
-    if band is not None:
-        return Window.band(n, m, band)
-    return Window.full(n, m)
-
-
-def _local_cost_matrix(x: np.ndarray, y: np.ndarray, ranges,
-                       wmax: int, named: str) -> np.ndarray:
-    """Rectangularised per-cell costs: ``L[i, k]`` is the cost of cell
-    ``(i, lo_i + k)``; columns past a row's width hold junk (clamped to
-    the last sample) and are never read by the DP."""
-    n, m = len(x), len(y)
-    lo = np.fromiter((r[0] for r in ranges), dtype=np.int64, count=n)
-    cols = lo[:, None] + np.arange(wmax, dtype=np.int64)[None, :]
-    np.minimum(cols, m - 1, out=cols)
-    L = x[:, None] - y[cols]
-    if named == "squared":
-        np.multiply(L, L, out=L)
-    else:
-        np.abs(L, out=L)
-    return L
 
 
 def _antidiag_layout(window: Window):
@@ -216,198 +175,6 @@ def _antidiag_sweep(LS, n, m, istart, iend) -> np.ndarray:
     return b1[:, n].copy()
 
 
-def _fold_row(acc: np.ndarray, local: np.ndarray) -> None:
-    """Exact sequential horizontal pass, in place (the pure engine's
-    inner scan, run over plain Python floats)."""
-    a = acc.tolist()
-    l = local.tolist()
-    run = a[0]
-    for k in range(1, len(a)):
-        c = run + l[k]
-        if c < a[k]:
-            run = c
-        else:
-            run = a[k]
-        a[k] = run
-    acc[:] = a
-
-
-def _relax_block(acc: np.ndarray, local: np.ndarray) -> None:
-    """Resolve the horizontal dependency for a ``(p, w)`` block of DP
-    rows, in place, bit-identically to the sequential recurrence
-    ``row[j] = min(acc[j], row[j-1] + local[j])``.
-
-    Strategy: detect rows with any horizontal improvement (most rows
-    have none); for those, build a candidate via the reassociated
-    prefix-minimum identity and accept it only if it verifies against
-    the exact recurrence -- a verified candidate is provably *the*
-    sequential solution.  Verification failures (ulp-level) take the
-    sequential fold.
-    """
-    w = acc.shape[1]
-    if w == 1:
-        return
-    stepped = acc[:, :-1] + local[:, 1:]
-    improving = np.any(stepped < acc[:, 1:], axis=1)
-    if not improving.any():
-        return
-    idx = np.flatnonzero(improving)
-    A = acc[idx]            # original values, kept for verification
-    Lr = local[idx]
-    csum = np.cumsum(Lr, axis=1)
-    cand = csum + np.minimum.accumulate(A - csum, axis=1)
-    cand[:, 0] = A[:, 0]  # the recurrence's base case, exact by definition
-    # exact-recurrence verification (uniqueness => candidate is exact)
-    rhs = np.minimum(A[:, 1:], cand[:, :-1] + Lr[:, 1:])
-    ok = np.all(cand[:, 1:] == rhs, axis=1)
-    acc[idx[ok]] = cand[ok]
-    for r in idx[~ok]:
-        _fold_row(acc[r], local[r])
-
-
-def _relax_row(acc: np.ndarray, local: np.ndarray) -> None:
-    """Single-row horizontal pass (a ``(1, w)`` block)."""
-    _relax_block(acc.reshape(1, -1), local.reshape(1, -1))
-
-
-def dtw_numpy(
-    x,
-    y,
-    window: Optional[Window] = None,
-    band: Optional[int] = None,
-    cost: CostLike = "squared",
-    return_path: bool = False,
-    abandon_above: Optional[float] = None,
-    suffix_bound: Optional[Sequence[float]] = None,
-) -> DtwResult:
-    """NumPy windowed DTW, bit-identical to :func:`dp_over_window`.
-
-    Parameters mirror the pure engine: ``window`` is an explicit
-    :class:`~repro.core.window.Window`, ``band`` a Sakoe-Chiba
-    half-width in cells (slope-corrected via :meth:`Window.band`);
-    neither means Full DTW.  ``cost`` must be a built-in cost name.
-    ``return_path``, ``abandon_above`` and ``suffix_bound`` behave
-    exactly as documented on :func:`repro.core.engine.dp_over_window`,
-    including the ``cells`` accounting (abandoned rows count) and the
-    diagonal-first backtracking tie-break.
-
-    Raises
-    ------
-    ValueError
-        On empty/non-finite input, dimension mismatch, a callable
-        cost, or a window whose first row excludes column 0 (such a
-        window has no valid path start; :class:`Window` instances
-        cannot express it, but duck-typed windows from sparse FastDTW
-        refinements could -- the old backend silently seeded the DP
-        from ``(0, lo_0)`` instead).
-    """
-    named = _require_named_cost(cost)
-    xa = _as_series(x, "x")
-    ya = _as_series(y, "y")
-    n, m = len(xa), len(ya)
-    win = _resolve_window(n, m, window, band)
-    if (n, m) != (win.n, win.m):
-        raise ValueError(
-            f"window is {win.n}x{win.m} but series are {n}x{m}"
-        )
-    ranges = win.ranges
-    if ranges[0][0] != 0:
-        raise ValueError(
-            f"window row 0 starts at column {ranges[0][0]}, excluding "
-            "the mandatory path start (0, 0)"
-        )
-
-    from .cost import cost_name
-    if abandon_above is None and not return_path:
-        # wavefront sweep: fully vectorised, no in-step dependency
-        dist = _dtw_antidiag(xa[None, :], ya[None, :], win, named)
-        cells = sum(hi - lo + 1 for lo, hi in ranges)
-        return DtwResult(float(dist[0]), None, cells, cost_name(cost))
-
-    wmax = max(hi - lo + 1 for lo, hi in ranges)
-    L = _local_cost_matrix(xa, ya, ranges, wmax, named)
-    abandoned, cells, rows, bufp = _row_sweep(
-        L, ranges, m, return_path, abandon_above, suffix_bound
-    )
-
-    if abandoned:
-        return DtwResult(inf, None, cells, cost_name(cost), abandoned=True)
-    distance = float(bufp[m])
-    path = _backtrack(rows, ranges) if return_path else None
-    return DtwResult(distance, path, cells, cost_name(cost))
-
-
-def _row_sweep(
-    L: np.ndarray,
-    ranges,
-    m: int,
-    return_path: bool,
-    abandon_above: Optional[float],
-    suffix_bound: Optional[Sequence[float]],
-) -> Tuple[bool, int, List[np.ndarray], np.ndarray]:
-    """The row-major DP over a rectangularised local-cost matrix.
-
-    Shared by the scalar and multivariate row-sweep paths (only the
-    local-cost computation differs between them).  Returns
-    ``(abandoned, cells, rows, final_buf)``; on completion the final
-    row's value for column ``m - 1`` sits at ``final_buf[m]`` (one
-    guard slot on the left).
-    """
-    n = len(ranges)
-    # Ping-pong row buffers over absolute columns, with one guard slot
-    # on the left: buffer index j+1 holds column j, index 0 stays inf.
-    bufp = np.full(m + 2, _INF)
-    bufc = np.full(m + 2, _INF)
-
-    cells = 0
-    abandoned = False
-    rows: List[np.ndarray] = []
-
-    lo0, hi0 = ranges[0]
-    w0 = hi0 - lo0 + 1
-    acc = bufp[1:w0 + 1]
-    np.cumsum(L[0, :w0], out=acc)
-    cells += w0
-    prev_write = (lo0, hi0)
-    stale = (lo0, hi0)  # extent currently sitting in bufc
-
-    if abandon_above is not None:
-        floor = acc.min()
-        if suffix_bound is not None:
-            floor = floor + suffix_bound[0]
-        if floor > abandon_above:
-            abandoned = True
-    if not abandoned:
-        if return_path:
-            rows.append(acc.copy())
-        for i in range(1, n):
-            lo, hi = ranges[i]
-            w = hi - lo + 1
-            cells += w
-            # clear the left margin this row exposes over bufc's stale
-            # contents (two rows old); the right side is overwritten.
-            if stale[0] < lo:
-                bufc[stale[0] + 1:lo + 1] = _INF
-            acc = bufc[lo + 1:hi + 2]
-            Lrow = L[i, :w]
-            np.minimum(bufp[lo:hi + 1], bufp[lo + 1:hi + 2], out=acc)
-            acc += Lrow
-            _relax_row(acc, Lrow)
-            if abandon_above is not None:
-                floor = acc.min()
-                if suffix_bound is not None:
-                    floor = floor + suffix_bound[i]
-                if floor > abandon_above:
-                    abandoned = True
-                    break
-            if return_path:
-                rows.append(acc.copy())
-            stale = prev_write
-            prev_write = (lo, hi)
-            bufp, bufc = bufc, bufp
-    return abandoned, cells, rows, bufp
-
-
 def _chunk_rows(shape0: int, count: Optional[int]) -> int:
     """Resolve the ``count=`` padding contract: the number of real
     rows in a possibly padded chunk stack.
@@ -434,11 +201,11 @@ def dtw_chunk(
 ) -> np.ndarray:
     """Windowed DTW distances for one shape-homogeneous chunk.
 
-    Runs the same bit-identical DP as :func:`dtw_numpy`, but pairs
-    arrive stacked as ``(chunk, n)`` / ``(chunk, m)`` arrays (the
-    batch engine's schedule groups pairs by ``(n, m, band)`` and pads
-    each group into reusable scratch stacks), and the anti-diagonal
-    wavefront advances every pair of the chunk together.
+    Pairs arrive stacked as ``(chunk, n)`` / ``(chunk, m)`` arrays
+    (the batch engine's schedule groups pairs by ``(n, m, band)`` and
+    pads each group into reusable scratch stacks; a single per-pair
+    distance is a one-row stack), and the anti-diagonal wavefront
+    advances every pair of the chunk together.
 
     Parameters
     ----------
@@ -873,8 +640,8 @@ def lb_kim_batch(
 # DP's local cost is the per-sample squared-Euclidean (or L1) distance,
 # accumulated **per channel in channel order** -- a strict left fold
 # from 0.0, exactly like :func:`repro.core.multivariate.vector_squared_cost`
-# -- so every lattice value (and hence every distance, cell count, path
-# and abandon decision) is bit-identical to the pure engine.  A
+# -- so every lattice value (and hence every distance) is
+# bit-identical to the pure engine.  A
 # ``np.sum(..., axis=-1)`` over channels would NOT be: NumPy's pairwise
 # reduction reassociates the additions.
 
@@ -893,35 +660,6 @@ def _as_series_nd(x, name: str) -> np.ndarray:
             f"({arr[i, k]!r})"
         )
     return arr
-
-
-def _nd_result_cost(named: str) -> str:
-    # the pure engine names nd results after the resolved vector-cost
-    # callable; mirror it so result objects match field for field
-    return "vector_squared_cost" if named == "squared" else "vector_abs_cost"
-
-
-def _local_cost_matrix_nd(X: np.ndarray, Y: np.ndarray, ranges,
-                          wmax: int, named: str) -> np.ndarray:
-    """Rectangularised per-cell vector costs for the nd row sweep.
-
-    ``L[i, k]`` is the vector cost of cell ``(i, lo_i + k)``; channels
-    accumulate sequentially from 0.0 (the left-fold identity), never
-    via a pairwise reduction.
-    """
-    n, m = X.shape[0], Y.shape[0]
-    lo = np.fromiter((r[0] for r in ranges), dtype=np.int64, count=n)
-    cols = lo[:, None] + np.arange(wmax, dtype=np.int64)[None, :]
-    np.minimum(cols, m - 1, out=cols)
-    L = np.zeros((n, wmax), dtype=np.float64)
-    for k in range(X.shape[1]):
-        D = X[:, k][:, None] - Y[cols, k]
-        if named == "squared":
-            np.multiply(D, D, out=D)
-        else:
-            np.abs(D, out=D)
-        L += D
-    return L
 
 
 def _antidiag_block_nd(X, Y, n, m, istart, iend, I, J, named) -> np.ndarray:
@@ -956,63 +694,6 @@ def _dtw_antidiag_nd(X: np.ndarray, Y: np.ndarray, window: Window,
     return out
 
 
-def dtw_nd_numpy(
-    x,
-    y,
-    window: Optional[Window] = None,
-    band: Optional[int] = None,
-    cost: CostLike = "squared",
-    return_path: bool = False,
-    abandon_above: Optional[float] = None,
-) -> DtwResult:
-    """NumPy windowed dependent DTW over ``(length, dims)`` series.
-
-    Bit-identical (distance, ``cells``, path, abandon decisions, and
-    the result's ``cost`` name) to
-    :func:`repro.core.engine.dp_over_window` with the resolved vector
-    cost of :mod:`repro.core.multivariate` -- the contract
-    ``tests/core/test_nd_kernels.py`` fuzzes.  Parameters mirror
-    :func:`dtw_numpy`; ``cost`` names the per-channel local cost
-    (``"squared"`` -> per-sample squared Euclidean, ``"abs"`` -> L1).
-    """
-    named = _require_named_cost(cost)
-    xa = _as_series_nd(x, "x")
-    ya = _as_series_nd(y, "y")
-    if xa.shape[1] != ya.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {xa.shape[1]} vs {ya.shape[1]}"
-        )
-    n, m = xa.shape[0], ya.shape[0]
-    win = _resolve_window(n, m, window, band)
-    if (n, m) != (win.n, win.m):
-        raise ValueError(
-            f"window is {win.n}x{win.m} but series are {n}x{m}"
-        )
-    ranges = win.ranges
-    if ranges[0][0] != 0:
-        raise ValueError(
-            f"window row 0 starts at column {ranges[0][0]}, excluding "
-            "the mandatory path start (0, 0)"
-        )
-
-    name = _nd_result_cost(named)
-    if abandon_above is None and not return_path:
-        dist = _dtw_antidiag_nd(xa[None], ya[None], win, named)
-        cells = sum(hi - lo + 1 for lo, hi in ranges)
-        return DtwResult(float(dist[0]), None, cells, name)
-
-    wmax = max(hi - lo + 1 for lo, hi in ranges)
-    L = _local_cost_matrix_nd(xa, ya, ranges, wmax, named)
-    abandoned, cells, rows, bufp = _row_sweep(
-        L, ranges, m, return_path, abandon_above, None
-    )
-    if abandoned:
-        return DtwResult(inf, None, cells, name, abandoned=True)
-    distance = float(bufp[m])
-    path = _backtrack(rows, ranges) if return_path else None
-    return DtwResult(distance, path, cells, name)
-
-
 def dtw_nd_chunk(
     xs,
     ys,
@@ -1034,8 +715,9 @@ def dtw_nd_chunk(
     -------
     numpy.ndarray
         ``(count,)`` distances; entry ``t`` is bit-identical to
-        ``dtw_nd_numpy(xs[t], ys[t], window=window, cost=cost)`` (and
-        hence to the pure engine with the vector cost).
+        ``dp_over_window(xs[t], ys[t], window, cost=vcost).distance``
+        with ``vcost`` the vector cost
+        :mod:`repro.core.multivariate` resolves ``cost`` to.
     """
     named = _require_named_cost(cost)
     X = np.ascontiguousarray(xs, dtype=np.float64)
@@ -1202,22 +884,3 @@ def lb_keogh_nd_chunk(
     if abandon_above is not None:
         totals[totals > abandon_above] = _INF
     return totals
-
-
-def suffix_gap_bounds_numpy(x, y_envelope, squared: bool = True) -> List[float]:
-    """Vectorised, bit-identical
-    :func:`repro.search.cumulative.suffix_gap_bounds`: the tail
-    accumulation is a reversed cumulative sum, which adds in exactly
-    the scalar implementation's order."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != len(y_envelope):
-        raise ValueError(
-            f"series length {arr.shape[0]} != envelope length "
-            f"{len(y_envelope)}"
-        )
-    upper = np.asarray(y_envelope.upper, dtype=np.float64)
-    lower = np.asarray(y_envelope.lower, dtype=np.float64)
-    gaps = _gap_costs(arr, lower, upper, squared)
-    out = np.zeros_like(gaps)
-    np.cumsum(gaps[:0:-1], out=out[-2::-1])
-    return out.tolist()

@@ -100,34 +100,20 @@ class _Stages(NamedTuple):
 
 
 def _pick_stages(band, squared, use_cumulative, dims, rt) -> _Stages:
-    from ..core.kernels import banded_window
-
     cost = "squared" if squared else "abs"
-    kernels = rt.kernels()
-    vectorised = kernels.name != "python"
 
     def abandon_at(best):
         return None if best == inf else best
 
+    # the exact stage is the pure engine on every backend: an
+    # abandoning DP has one implementation (see
+    # repro.core.kernels.stacked_kernels); only the bounds vary
     if dims is not None:
         # summed per-channel bounds (admissible for DTW_I and DTW_D,
         # pure python on every backend); the cumulative-suffix stage
         # is scalar-only, so the exact stage is plain early abandoning
         from ..core.multivariate import cdtw_nd
         from .nd import envelopes_nd, lb_improved_nd, lb_keogh_nd, lb_kim_nd
-
-        if vectorised:
-            def exact(q, q_env, c, best):
-                return kernels.dtw_nd(
-                    q, c, banded_window(len(q), len(c), band), cost=cost,
-                    abandon_above=abandon_at(best),
-                )
-        else:
-            def exact(q, q_env, c, best):
-                return cdtw_nd(
-                    q, c, band=band, cost=cost,
-                    abandon_above=abandon_at(best),
-                )
 
         return _Stages(
             kim=lambda q, c: lb_kim_nd(q, c, cost=cost),
@@ -139,11 +125,12 @@ def _pick_stages(band, squared, use_cumulative, dims, rt) -> _Stages:
                 query_envelopes=env,
             ),
             envelope=lambda x: envelopes_nd(x, band),
-            exact=exact,
+            exact=lambda q, q_env, c, best: cdtw_nd(
+                q, c, band=band, cost=cost, abandon_above=abandon_at(best),
+            ),
         )
 
     from ..core.cdtw import cdtw
-    from ..core.validate import validate_pair
     from ..search.cumulative import cdtw_cumulative_abandon
 
     def exact(q, q_env, c, best):
@@ -153,13 +140,7 @@ def _pick_stages(band, squared, use_cumulative, dims, rt) -> _Stages:
             # its remaining rows must at least cost
             return cdtw_cumulative_abandon(
                 c, q, band, threshold=best, y_envelope=q_env,
-                squared=squared, runtime=rt,
-            )
-        if vectorised:
-            validate_pair(q, c)
-            return kernels.dtw(
-                q, c, banded_window(len(q), len(c), band), cost=cost,
-                abandon_above=abandon_at(best),
+                squared=squared,
             )
         return cdtw(q, c, band=band, cost=cost,
                     abandon_above=abandon_at(best))
@@ -167,7 +148,8 @@ def _pick_stages(band, squared, use_cumulative, dims, rt) -> _Stages:
     def kim(q, c):
         return lb_kim(q, c, cost=cost)
 
-    if not vectorised:
+    kernels = rt.kernels()
+    if kernels.name == "python":
         return _Stages(
             kim=kim,
             keogh=lambda env, x, best: lb_keogh(

@@ -364,8 +364,9 @@ def incr(counter: str, n: int = 1) -> None:
 def record_dp(trace: RunTrace, result) -> None:
     """Record one windowed-DP outcome: calls, cells, abandons.
 
-    Shared by every DP entry point (pure engine, vectorised kernels,
-    stacked batch kernels) so the ``dp.*`` counters mean the same
+    Shared by the DP entry points that return a result (the pure
+    engine and ``rle_dtw``); the stacked kernels charge the same
+    counters per real pair, so the ``dp.*`` counters mean the same
     thing on every backend.
     """
     trace.incr("dp.calls")

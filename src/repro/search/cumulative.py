@@ -24,7 +24,6 @@ from ..core.validate import validate_pair
 from ..core.window import Window
 from ..lowerbounds.envelope import Envelope, envelope
 from ..obs import trace as _obs
-from ..runtime import Runtime
 
 
 def suffix_gap_bounds(
@@ -68,13 +67,15 @@ def cdtw_cumulative_abandon(
     threshold: float,
     y_envelope: Optional[Envelope] = None,
     squared: bool = True,
-    runtime: Optional[Runtime] = None,
 ) -> DtwResult:
     """Banded DTW with cumulative-suffix-bound early abandoning.
 
     Exact when it completes (``abandoned=False``); abandons -- usually
     after touching far fewer cells than plain early abandoning -- when
-    the distance provably exceeds ``threshold``.
+    the distance provably exceeds ``threshold``.  An abandoning DP
+    runs the pure engine on every backend (see
+    :func:`repro.core.kernels.stacked_kernels`), so there is no
+    execution context to pick.
 
     Parameters
     ----------
@@ -89,14 +90,7 @@ def cdtw_cumulative_abandon(
         pass it when scanning many ``x`` against one ``y``).
     squared:
         Local cost convention.
-    runtime:
-        Execution context, per :mod:`repro.runtime` (``None`` = the
-        process default); only its backend applies here.  Distances,
-        cells and abandon decisions are bit-identical on every
-        backend: the suffix bounds themselves are computed in the
-        same accumulation order.
     """
-    rt = Runtime.resolve(runtime)
     validate_pair(x, y)
     if len(x) != len(y):
         raise ValueError("cumulative abandoning requires equal lengths")
@@ -109,23 +103,10 @@ def cdtw_cumulative_abandon(
             f"envelope band {env.band} narrower than DTW band {band}; "
             "the suffix bound would be invalid"
         )
-    kernels = rt.kernels()
-    if kernels.name == "python":
-        _obs.incr("lb.suffix_builds")
-        suffix = suffix_gap_bounds(x, env, squared=squared)
-        window = Window.band(len(x), len(y), band)
-        return dp_over_window(
-            x, y, window,
-            cost="squared" if squared else "abs",
-            abandon_above=threshold,
-            suffix_bound=suffix,
-        )
-    from ..core.kernels import banded_window
-
     _obs.incr("lb.suffix_builds")
-    suffix = kernels.suffix_gap_bounds(x, env, squared=squared)
-    window = banded_window(len(x), len(y), band)
-    return kernels.dtw(
+    suffix = suffix_gap_bounds(x, env, squared=squared)
+    window = Window.band(len(x), len(y), band)
+    return dp_over_window(
         x, y, window,
         cost="squared" if squared else "abs",
         abandon_above=threshold,

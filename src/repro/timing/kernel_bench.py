@@ -168,6 +168,7 @@ def kernel_benchmark(
             "repeated-use backend comparison; the paper's own timings "
             "are pinned to backend='python' and never run these kernels"
         ),
+        "cpu_count": os.cpu_count() or 1,
         "workload": {
             "kind": "random_walk",
             "count": count,

@@ -5,8 +5,8 @@ their private helpers (`_assign`, `_inertia`, `_alignments`) silently
 fell back to pure Python.  The Runtime refactor routes every internal
 distance through the resolved context, so a `use_runtime` process
 default must switch the actual kernels the helpers invoke.  We prove
-it by spying on the NumPy kernel entry points: zero calls without the
-default, nonzero with it -- and identical results either way.
+it by spying on the NumPy DP kernel: zero calls without the default,
+nonzero with it -- and identical results either way.
 """
 
 from __future__ import annotations
@@ -25,19 +25,15 @@ SERIES = [make_series(16, seed) for seed in range(6)]
 
 @pytest.fixture
 def numpy_kernel_calls(monkeypatch):
-    """Count invocations of the NumPy kernel entry points."""
+    """Count invocations of the NumPy DP kernel (every plain distance
+    on the numpy backend is a ``dtw_chunk`` call)."""
     calls = {"n": 0}
-    real_single, real_chunk = nb.dtw_numpy, nb.dtw_chunk
-
-    def spy_single(*args, **kwargs):
-        calls["n"] += 1
-        return real_single(*args, **kwargs)
+    real_chunk = nb.dtw_chunk
 
     def spy_chunk(*args, **kwargs):
         calls["n"] += 1
         return real_chunk(*args, **kwargs)
 
-    monkeypatch.setattr(nb, "dtw_numpy", spy_single)
     monkeypatch.setattr(nb, "dtw_chunk", spy_chunk)
     return calls
 

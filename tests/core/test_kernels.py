@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import kernels
-from repro.core.engine import dp_over_window
 from repro.core.kernels import (
     KernelSet,
     available_backends,
@@ -47,9 +46,6 @@ class TestResolution:
 
     def test_kernelsets_are_cached(self):
         assert get_kernels("python") is get_kernels("python")
-
-    def test_python_dtw_is_the_engine(self):
-        assert get_kernels("python").dtw is dp_over_window
 
 
 class TestDefaultSwitching:
@@ -104,16 +100,6 @@ class TestWindowMemoisation:
 
 class TestKernelContracts:
     @pytest.mark.parametrize("name", ["python", "numpy"])
-    def test_dtw_contract(self, name):
-        ks = get_kernels(name)
-        x, y = make_series(12, 1), make_series(12, 2)
-        win = banded_window(12, 12, 3)
-        r = ks.dtw(x, y, win, cost="squared", return_path=True)
-        assert r.distance >= 0
-        assert r.cells == win.cell_count()
-        assert r.path[0] == (0, 0) and r.path[-1] == (11, 11)
-
-    @pytest.mark.parametrize("name", ["python", "numpy"])
     def test_lower_bound_contracts(self, name):
         ks = get_kernels(name)
         x, y = make_series(16, 3), make_series(16, 4)
@@ -131,27 +117,6 @@ class TestKernelContracts:
         true_d = cdtw(x, y, band=2).distance
         for bound in (kim[0], keogh[0], rev[0]):
             assert bound <= true_d + 1e-9
-
-    @pytest.mark.parametrize("name", ["python", "numpy"])
-    def test_suffix_gap_bounds_contract(self, name):
-        ks = get_kernels(name)
-        x, y = make_series(14, 5), make_series(14, 6)
-        env = ks.envelope(y, 3)
-        suffix = ks.suffix_gap_bounds(x, env)
-        assert len(suffix) == 14
-        assert suffix[-1] == 0.0
-        assert all(
-            suffix[i] >= suffix[i + 1] for i in range(len(suffix) - 1)
-        )
-
-    def test_suffix_bounds_bitwise_equal_across_backends(self):
-        py = get_kernels("python")
-        np_ = get_kernels("numpy")
-        x, y = make_series(30, 7), make_series(30, 8)
-        env = py.envelope(y, 4)
-        assert py.suffix_gap_bounds(x, env) == np_.suffix_gap_bounds(
-            x, env
-        )
 
     def test_envelopes_equal_across_backends(self):
         py = get_kernels("python")

@@ -1,13 +1,10 @@
 """Bit-identity contract of the multivariate (nd) kernels.
 
 Every registered backend must produce the *same bits* as the pure
-engine for the dependent-DTW wavefront (``dtw_nd``), the stacked
-chunk kernel (``dtw_nd_chunk``) with its ``count=`` padding-poisoning
-contract, and value-identical per-channel envelopes and summed
-LB_Keogh bounds.
+engine for the stacked dependent-DTW kernel (``dtw_nd_chunk``, one
+pair or many) with its ``count=`` padding-poisoning contract, and
+value-identical per-channel envelopes and summed LB_Keogh bounds.
 """
-
-import math
 
 import pytest
 
@@ -34,44 +31,18 @@ class TestDtwNdKernel:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("dims", (1, 2, 3))
     def test_distance_cells_match_engine(self, backend, dims):
+        # one pair per call: the numpy per-pair distance is this stack
         x, y = make_vectors(24, dims, 1), make_vectors(24, dims, 2)
         kernels = get_kernels(backend)
         for label, win in _windows(24, 24):
-            got = kernels.dtw_nd(x, y, win)
+            got = kernels.dtw_nd_chunk([x], [y], win)
             ref = (
                 dtw_nd(x, y)
                 if label == "full"
                 else cdtw_nd(x, y, band=int(label[4:]))
             )
-            assert got.distance == ref.distance, (backend, label)
-            assert got.cells == ref.cells, (backend, label)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_path_matches_engine(self, backend):
-        x, y = make_vectors(16, 2, 3), make_vectors(20, 2, 4)
-        win = Window.band(16, 20, 6)
-        kernels = get_kernels(backend)
-        got = kernels.dtw_nd(x, y, win, return_path=True)
-        ref = cdtw_nd(x, y, band=6, return_path=True)
-        assert got.path == ref.path
-        assert got.distance == ref.distance
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_abandon_decision_matches_engine(self, backend):
-        x, y = make_vectors(20, 2, 5), make_vectors(20, 2, 6)
-        win = Window.band(20, 20, 3)
-        kernels = get_kernels(backend)
-        exact = cdtw_nd(x, y, band=3)
-        kept = kernels.dtw_nd(
-            x, y, win, abandon_above=exact.distance + 1.0
-        )
-        assert not kept.abandoned
-        assert kept.distance == exact.distance
-        dropped = kernels.dtw_nd(
-            x, y, win, abandon_above=exact.distance / 4.0
-        )
-        assert dropped.abandoned
-        assert dropped.distance == math.inf
+            assert float(got[0]) == ref.distance, (backend, label)
+            assert win.cell_count() == ref.cells, (backend, label)
 
 
 class TestDtwNdChunk:

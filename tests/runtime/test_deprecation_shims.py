@@ -5,7 +5,9 @@ Consumer entry points take their execution context only as
 ``executor=`` keywords they once accepted are gone: passing one is a
 ``TypeError`` naming it, never a silently ignored argument.  The
 ``runtime=`` form of each removed knob must stay warning-free and
-return exactly what the default call returns.  Two keywords are
+return exactly what the default call returns.
+``cdtw_cumulative_abandon`` has no execution context to take, so it
+refuses ``runtime=`` too.  Two keywords are
 native rather than legacy and must keep working silently: the batch
 engine's own ``batch_distances(..., workers=)`` and the spec-level
 ``DistanceSpec(backend=)``.
@@ -113,6 +115,13 @@ CASES = [
     for kwarg in kwargs
 ]
 
+# cdtw_cumulative_abandon takes no execution context at all: its
+# abandoning DP runs the pure engine on every backend
+RUNTIME_CASES = [
+    (name, kwarg) for name, kwarg in CASES
+    if name != "cdtw_cumulative_abandon"
+]
+
 
 @pytest.fixture(scope="module")
 def shared_executor():
@@ -136,7 +145,7 @@ def test_removed_kwarg_is_refused(name, kwarg, shared_executor):
         runner(**{kwarg: value})
 
 
-@pytest.mark.parametrize("name,kwarg", CASES)
+@pytest.mark.parametrize("name,kwarg", RUNTIME_CASES)
 def test_runtime_style_is_silent(name, kwarg, shared_executor):
     runner, _ = ENTRY_POINTS[name]
     value = _kwarg_value(kwarg, shared_executor)
@@ -144,6 +153,11 @@ def test_runtime_style_is_silent(name, kwarg, shared_executor):
         warnings.simplefilter("error", DeprecationWarning)
         modern = runner(runtime=Runtime(**{kwarg: value}))
     assert modern == runner()
+
+
+def test_cumulative_abandon_refuses_runtime():
+    with pytest.raises(TypeError, match="runtime"):
+        run_cumulative(runtime=Runtime(backend="numpy"))
 
 
 def test_engine_workers_kwarg_is_native_not_deprecated():

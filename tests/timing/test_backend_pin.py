@@ -118,7 +118,6 @@ class TestExplicitPin:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("numpy kernel reached the harness")
 
-        monkeypatch.setattr(nb, "dtw_numpy", boom)
         monkeypatch.setattr(nb, "dtw_chunk", boom)
         series = [make_series(16, s) for s in range(4)]
         plain = batch_pairwise_experiment(series, band=2)

@@ -1,7 +1,9 @@
-"""Schema smoke tests for the executor and multivariate bench reports.
+"""Schema smoke tests for the kernel bench reports.
 
-``python -m repro kernels --warm`` writes ``BENCH_batch.json`` from
-:func:`repro.timing.kernel_bench.executor_benchmark`, and
+``python -m repro kernels`` writes ``BENCH_kernels.json`` from
+:func:`repro.timing.kernel_bench.kernel_benchmark`, ``kernels --warm``
+writes ``BENCH_batch.json`` from
+:func:`~repro.timing.kernel_bench.executor_benchmark`, and
 ``kernels --nd`` writes ``BENCH_multivariate.json`` from
 :func:`~repro.timing.kernel_bench.multivariate_benchmark`; downstream
 tooling (the CI speedup gates, the README table) reads specific keys
@@ -22,6 +24,7 @@ from repro.timing.kernel_bench import (  # noqa: E402
     executor_benchmark,
     format_executor_report,
     format_report,
+    kernel_benchmark,
     multivariate_benchmark,
 )
 
@@ -201,3 +204,22 @@ class TestMultivariateReportSchema:
     def test_rejects_bad_workload(self, bad, match):
         with pytest.raises(ValueError, match=match):
             multivariate_benchmark(**{"length": 8, "count": 2, **bad})
+
+
+class TestKernelReportSchema:
+    """``python -m repro kernels`` writes this report verbatim
+    (``BENCH_kernels.json``)."""
+
+    @pytest.fixture(scope="class")
+    def kernel_report(self):
+        return kernel_benchmark(
+            length=16, count=3, window=0.2, workers=1, repeats=1
+        )
+
+    def test_cpu_count_recorded(self, kernel_report):
+        assert type(kernel_report["cpu_count"]) is int
+        assert kernel_report["cpu_count"] == (os.cpu_count() or 1)
+
+    def test_single_pair_row_matches_the_engine(self, kernel_report):
+        # the numpy row times the per-pair route, a one-pair stack
+        assert kernel_report["single_pair"]["identical"] is True
