@@ -110,9 +110,9 @@ class BatchSpec:
         with a named cost -- the configurations where
         :func:`repro.core.numpy_backend.dtw_chunk` applies.
         The dependent multivariate measures (``dtw_d``/``cdtw_d``) run
-        one DP per pair over vector samples, so they stack the same
-        way (via ``dtw_nd_chunk``); the independent measures are sums
-        of per-channel scalar DPs and stay on the per-pair path.
+        one DP per pair over vector samples, so they stack into the
+        same kernel with a channel axis; the independent measures are
+        sums of per-channel scalar DPs and stay on the per-pair path.
         """
         return (
             self.backend == "numpy"
@@ -282,7 +282,7 @@ class _NpArtifacts:
     def series(self, i: int):
         arr = self._series.get(i)
         if arr is None:
-            from ..core.numpy_backend import _as_series, _as_series_nd
+            from ..core.numpy_backend import _as_series
 
             if self._spec is not None and self._spec.normalize:
                 raw = self._cache.normalized(i)
@@ -290,10 +290,7 @@ class _NpArtifacts:
                 raw = self._arrays[i]
             else:
                 raw = self._cache.raw(i)
-            convert = (
-                _as_series if self._cache.dims is None else _as_series_nd
-            )
-            arr = self._series[i] = convert(raw, str(i))
+            arr = self._series[i] = _as_series(raw, str(i))
         return arr
 
     def envelope(self, i: int, band: int):
@@ -418,16 +415,12 @@ def _compute_chunk_vectorized(ctx: _WorkerContext, chunk: Sequence[Pair]):
         band_for=chunk_band(spec.measure, spec.window, spec.band),
     )
     _obs.incr("chunk.groups", len(groups))
-    chunk_kernel = (
-        kernels.dtw_chunk if ctx.cache.dims is None
-        else kernels.dtw_nd_chunk
-    )
     out = [None] * len(chunk)
     for group in groups:
         win = _spec_window(spec, group.n, group.m)
         cells = win.cell_count()
         xs, ys, pad = arts.stack_pairs(group.pairs, group.n, group.m)
-        distances = chunk_kernel(
+        distances = kernels.dtw_chunk(
             xs, ys, win, cost=spec.cost, count=len(group.pairs)
         )
         _obs.incr("chunk.calls")

@@ -50,7 +50,6 @@ from .multivariate import (
     vector_abs_cost,
     vector_squared_cost,
 )
-from .numpy_backend import pairwise_matrix_numpy
 from .validate import validate_pair, validate_series
 from .paa import halve, paa, paa_factor
 from .path import InvalidPathError, WarpingPath, diagonal_path
@@ -102,7 +101,6 @@ __all__ = [
     "paa",
     "paa_factor",
     "pair_cost_model",
-    "pairwise_matrix_numpy",
     "resolve_backend",
     "rle_dtw",
     "resolve_cost",

@@ -67,22 +67,25 @@ class KernelSet:
     ----------
     name:
         The backend's registry name.
-    envelope:
-        ``envelope(x, band) -> Envelope`` (Lemire warping envelope).
     lb_kim:
         ``lb_kim(query, candidates, cost="squared", tiers=2)`` ->
         per-candidate bounds (sequence-like of floats).
     dtw_chunk:
         ``dtw_chunk(xs, ys, window, cost="squared", count=None)`` ->
-        per-pair distances for one shape-homogeneous stacked chunk.
-        Every distance is bit-identical to
-        :func:`repro.core.engine.dp_over_window` on the same pair;
-        rows at index ``count`` and beyond are padding and are never
-        read (see :func:`repro.core.numpy_backend.dtw_chunk`).
+        per-pair distances for one shape-homogeneous stacked chunk:
+        ``(chunk, n)`` scalar rows or ``(chunk, n, dims)`` rows of
+        vector samples (the dependent multivariate measure).  Every
+        distance is bit-identical to
+        :func:`repro.core.engine.dp_over_window` on the same pair, with
+        the vector cost of :mod:`repro.core.multivariate` on a channel
+        axis; rows at index ``count`` and beyond are padding and are
+        never read (see :func:`repro.core.numpy_backend.dtw_chunk`).
     envelope_chunk:
         ``envelope_chunk(series, band, count=None)`` ->
         ``(upper, lower)`` envelope stacks, row ``t`` value-identical
-        to ``envelope(series[t], band)``.
+        to :func:`repro.lowerbounds.envelope.envelope` of
+        ``series[t]``; on a channel axis, per-channel envelopes laid
+        out sample-major like the series.
     lb_keogh_chunk:
         ``lb_keogh_chunk(upper, lower, candidates, squared=True,
         abandon_above=None, count=None)`` -> per-candidate bounds,
@@ -91,12 +94,6 @@ class KernelSet:
         abandon decisions).  Envelopes may be shared (1-D) or stacked
         per row; the reversed bound is this kernel scored with the
         query against a candidate's envelope.
-    rle_block:
-        ``rle_block(T, L, c, h, w) -> (B, R)`` -- bottom row and
-        right column of one constant-cost RLE-DTW block from its
-        boundary arrays (the O(h + w) recurrence of
-        :mod:`repro.core.rle`).  Both backends are bit-identical for
-        all inputs.
     lb_improved_chunk:
         ``lb_improved_chunk(upper, lower, candidates, query, band,
         squared=True, keogh=None, abandon_above=None, count=None)`` ->
@@ -105,44 +102,32 @@ class KernelSet:
         (values and abandon decisions).  ``keogh`` optionally supplies
         the full first-pass bounds so a cascade can reuse its
         forward-Keogh stage.
-    dtw_nd_chunk:
-        ``dtw_nd_chunk(xs, ys, window, cost="squared", count=None)``
-        -> per-pair *dependent* multivariate distances for one
-        shape-homogeneous ``(chunk, length, dims)`` stack, each
-        bit-identical to :func:`repro.core.engine.dp_over_window`
-        with the resolved vector cost of
-        :mod:`repro.core.multivariate` (channels accumulate
-        sequentially per lattice cell); rows at index ``count`` and
-        beyond are padding and are never read.
-    envelope_nd_chunk:
-        ``envelope_nd_chunk(series, band, count=None)`` ->
-        ``(upper, lower)`` per-channel envelope stacks shaped
-        ``(count, length, dims)``; row ``t`` channel ``k`` is
-        value-identical to ``envelope(series[t][:, k], band)``.
-    lb_keogh_nd_chunk:
-        ``lb_keogh_nd_chunk(upper, lower, candidates, squared=True,
-        abandon_above=None, count=None)`` -> per-candidate summed
-        per-channel LB_Keogh bounds, admissible for both ``cdtw_i``
-        and ``cdtw_d`` and bit-identical across backends.
+    rle_block:
+        ``rle_block(T, L, c, h, w) -> (B, R)`` -- bottom row and
+        right column of one constant-cost RLE-DTW block from its
+        boundary arrays (the O(h + w) recurrence of
+        :mod:`repro.core.rle`).  Both backends are bit-identical for
+        all inputs.
+
+    The multivariate bounds need no fields of their own: they are
+    per-channel sums of the scalar bounds
+    (:mod:`repro.lowerbounds.nd`).
     """
 
     name: str
-    envelope: Callable
     lb_kim: Callable
     dtw_chunk: Callable
     envelope_chunk: Callable
     lb_keogh_chunk: Callable
     lb_improved_chunk: Callable
     rle_block: Callable
-    dtw_nd_chunk: Callable
-    envelope_nd_chunk: Callable
-    lb_keogh_nd_chunk: Callable
 
 
 def _build_python() -> KernelSet:
     from ..lowerbounds.envelope import envelope
     from ..lowerbounds.lb_kim import lb_kim
     from .engine import dp_over_window
+    from .multivariate import _resolve_vector_cost
     from .rle import rle_block_python
 
     def lb_kim_each(query, candidates, cost="squared", tiers=2):
@@ -158,17 +143,36 @@ def _build_python() -> KernelSet:
             )
         return list(stack[:count])
 
+    def _has_channels(row):
+        # rows of (n, dims) vector samples: the channel axis is present
+        return hasattr(row[0], "__len__")
+
     def dtw_chunk_each(xs, ys, window, cost="squared", count=None):
         # the per-pair dispatch the chunk contract falls back to on
-        # this backend; pad rows are dropped before any computation
+        # this backend; pad rows are dropped before any computation,
+        # and rows of vector samples take the vector cost
         xr, yr = _real_rows(xs, count), _real_rows(ys, count)
+        if xr and _has_channels(xr[0]):
+            cost = _resolve_vector_cost(cost)
         return [
-            dp_over_window(x, y, window, cost=cost).distance
+            float(dp_over_window(x, y, window, cost=cost).distance)
             for x, y in zip(xr, yr)
         ]
 
     def envelope_chunk_each(series, band, count=None):
-        envs = [envelope(s, band) for s in _real_rows(series, count)]
+        rows = _real_rows(series, count)
+        if rows and _has_channels(rows[0]):
+            # per-channel envelopes, laid out sample-major like the rows
+            per_row = [
+                [envelope([float(v[k]) for v in s], band)
+                 for k in range(len(s[0]))]
+                for s in rows
+            ]
+            return (
+                [list(zip(*(e.upper for e in envs))) for envs in per_row],
+                [list(zip(*(e.lower for e in envs))) for envs in per_row],
+            )
+        envs = [envelope(s, band) for s in rows]
         return ([e.upper for e in envs], [e.lower for e in envs])
 
     def lb_improved_chunk_each(upper, lower, candidates, query, band,
@@ -218,77 +222,14 @@ def _build_python() -> KernelSet:
             out.append(total)
         return out
 
-    def dtw_nd_chunk_each(xs, ys, window, cost="squared", count=None):
-        from .multivariate import _resolve_vector_cost
-
-        vcost = _resolve_vector_cost(cost)
-        xr, yr = _real_rows(xs, count), _real_rows(ys, count)
-        return [
-            float(dp_over_window(x, y, window, cost=vcost).distance)
-            for x, y in zip(xr, yr)
-        ]
-
-    def envelope_nd_chunk_each(series, band, count=None):
-        uppers, lowers = [], []
-        for s in _real_rows(series, count):
-            dims = len(s[0])
-            envs = [
-                envelope([float(v[k]) for v in s], band)
-                for k in range(dims)
-            ]
-            uppers.append(
-                [tuple(e.upper[i] for e in envs) for i in range(len(s))]
-            )
-            lowers.append(
-                [tuple(e.lower[i] for e in envs) for i in range(len(s))]
-            )
-        return uppers, lowers
-
-    def lb_keogh_nd_chunk_each(upper, lower, candidates, squared=True,
-                               abandon_above=None, count=None):
-        from ..lowerbounds.lb_keogh import _gap_cost
-
-        rows = _real_rows(candidates, count)
-        # a (length, dims) envelope (first sample's first component is
-        # a scalar) is shared by every candidate; otherwise it is a
-        # per-row (chunk, length, dims) stack
-        shared = (
-            len(upper) > 0 and not hasattr(upper[0][0], "__len__")
-        )
-        out = []
-        for t, cand in enumerate(rows):
-            up = upper if shared else upper[t]
-            lo = lower if shared else lower[t]
-            if len(cand) != len(up):
-                raise ValueError(
-                    f"candidate length {len(cand)} != envelope length "
-                    f"{len(up)}"
-                )
-            total = 0.0
-            for k in range(len(cand[0])):
-                channel = 0.0
-                for i, v in enumerate(cand):
-                    channel += _gap_cost(
-                        v[k], lo[i][k], up[i][k], squared
-                    )
-                total += channel
-            if abandon_above is not None and total > abandon_above:
-                total = float("inf")
-            out.append(total)
-        return out
-
     return KernelSet(
         name="python",
-        envelope=envelope,
         lb_kim=lb_kim_each,
         dtw_chunk=dtw_chunk_each,
         envelope_chunk=envelope_chunk_each,
         lb_keogh_chunk=lb_keogh_chunk_each,
         lb_improved_chunk=lb_improved_chunk_each,
         rle_block=rle_block_python,
-        dtw_nd_chunk=dtw_nd_chunk_each,
-        envelope_nd_chunk=envelope_nd_chunk_each,
-        lb_keogh_nd_chunk=lb_keogh_nd_chunk_each,
     )
 
 
@@ -310,28 +251,14 @@ def _build_numpy() -> KernelSet:
         _obs.incr("dp.cells", window.cell_count() * len(distances))
         return distances
 
-    def dtw_nd_chunk(xs, ys, window, cost="squared", count=None):
-        # same counter-parity accounting as the scalar ``dtw_chunk``
-        with _obs.span("dp"):
-            distances = nb.dtw_nd_chunk(
-                xs, ys, window, cost=cost, count=count
-            )
-        _obs.incr("dp.calls", len(distances))
-        _obs.incr("dp.cells", window.cell_count() * len(distances))
-        return distances
-
     return KernelSet(
         name="numpy",
-        envelope=nb.envelope_numpy,
         lb_kim=nb.lb_kim_batch,
         dtw_chunk=dtw_chunk,
         envelope_chunk=nb.envelope_chunk,
         lb_keogh_chunk=nb.lb_keogh_chunk,
         lb_improved_chunk=nb.lb_improved_chunk,
         rle_block=rle_block_numpy,
-        dtw_nd_chunk=dtw_nd_chunk,
-        envelope_nd_chunk=nb.envelope_nd_chunk,
-        lb_keogh_nd_chunk=nb.lb_keogh_nd_chunk,
     )
 
 
@@ -426,8 +353,8 @@ def stacked_kernels(
     one-pair stack, or ``None`` when the engine runs it.
 
     Only a plain distance on a stacked backend (``"numpy"``) takes the
-    stack -- a one-pair ``dtw_chunk`` / ``dtw_nd_chunk`` call, the
-    same wavefront the batch engine runs.  A DP that returns a path
+    stack -- a one-pair ``dtw_chunk`` call (with a channel axis for a
+    multivariate pair), the same wavefront the batch engine runs.  A DP that returns a path
     or may abandon, and any DP on the python backend, runs
     :func:`repro.core.engine.dp_over_window`: one implementation,
     bit-identical answers and ``dp.*`` counters on every backend.

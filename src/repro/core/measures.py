@@ -188,8 +188,9 @@ def _nd_measure_fn(
     ``kernels`` is :func:`repro.core.kernels.stacked_kernels`'s pick.
     Without one, the pure engine runs via :mod:`repro.core.multivariate`.
     With one, the dependent measures (``dtw_d``/``cdtw_d``) are
-    one-pair ``dtw_nd_chunk`` calls over the per-sample vector cost,
-    and the independent measures (``dtw_i``/``cdtw_i``) are
+    one-pair ``dtw_chunk`` calls over a ``(1, n, dims)`` stack, whose
+    channel axis selects the per-sample vector cost, and the
+    independent measures (``dtw_i``/``cdtw_i``) are
     per-channel *scalar* DTWs summed in channel order, each channel a
     one-pair ``dtw_chunk`` call -- the sum of bit-identical terms is
     bit-identical.
@@ -247,7 +248,7 @@ def _nd_measure_fn(
             vy = _as_vectors(y, "series y")
             _check_same_dim(vx, vy)
             win = _win(len(vx), len(vy))
-            distance = kernels.dtw_nd_chunk((vx,), (vy,), win, cost=cost)[0]
+            distance = kernels.dtw_chunk((vx,), (vy,), win, cost=cost)[0]
             # named after the vector cost, as the engine names it
             return DtwResult(float(distance), None, win.cell_count(),
                              cost_name(_resolve_vector_cost(cost)))

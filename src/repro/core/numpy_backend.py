@@ -12,8 +12,14 @@ envelope/LB kernels for pruning cascades.
 
 There is no per-pair DP here.  A DP that returns a path or may
 abandon runs :func:`repro.core.engine.dp_over_window` on every
-backend; a plain per-pair distance is a one-pair :func:`dtw_chunk` /
-:func:`dtw_nd_chunk` call (see :func:`repro.core.kernels.stacked_kernels`).
+backend; a plain per-pair distance is a one-pair :func:`dtw_chunk`
+call (see :func:`repro.core.kernels.stacked_kernels`).
+
+One kernel family serves scalar and multivariate series.
+:func:`dtw_chunk` and :func:`envelope_chunk` take ``(chunk, n)``
+stacks of scalar rows or ``(chunk, n, dims)`` stacks of vector
+samples, and the rank alone decides which.  A scalar stack runs as the
+one-channel case of the same code.
 
 Parity is *bit-level*, not approximate: every distance a stacked
 kernel returns equals the pure engine's, down to the last ulp.  The
@@ -36,11 +42,19 @@ with no intra-step dependency at all.  Feasible windows make each
 wavefront a contiguous row interval, so fronts are plain slices.
 A whole stack of equal-shape pairs advances through each wavefront
 together, which amortises the per-step NumPy dispatch over the stack.
+
+The local cost of a cell sums its channels **in channel order**: the
+first channel's costs become the running total and later channels add
+in place, a strict left fold like
+:func:`repro.core.multivariate.vector_squared_cost` (whose ``0.0 + c``
+start equals ``c`` for every cost ``c >= +0``).  A
+``np.sum(..., axis=-1)`` over channels would NOT be bit-identical:
+NumPy's pairwise reduction reassociates the additions.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -49,13 +63,9 @@ from .window import Window
 
 __all__ = [
     "dtw_chunk",
-    "dtw_nd_chunk",
-    "envelope_nd_chunk",
-    "lb_keogh_nd_chunk",
-    "pairwise_matrix_numpy",
-    "envelope_numpy",
     "envelope_chunk",
     "lb_keogh_chunk",
+    "lb_improved_chunk",
     "lb_kim_batch",
 ]
 
@@ -82,13 +92,32 @@ def _require_named_cost(cost: CostLike) -> str:
     )
 
 
+def _require_finite(arr: np.ndarray, label: str, stacked: bool) -> None:
+    """Raise on the first non-finite value of ``arr``, a series
+    (``stacked=False``) or a chunk stack, naming its row, sample and,
+    on a channel axis, component."""
+    if np.isfinite(arr).all():
+        return
+    at = [int(v) for v in np.argwhere(~np.isfinite(arr))[0]]
+    value = arr[tuple(at)]
+    if stacked:
+        label = f"{label} row {at.pop(0)}"
+    where = f"sample {at[0]}"
+    if len(at) > 1:
+        where += f" component {at[1]}"
+    raise ValueError(f"{label}: {where} is not finite ({value!r})")
+
+
 def _as_series(x, name: str) -> np.ndarray:
+    """One series as a validated float64 array: ``(n,)`` scalar
+    samples or ``(n, dims)`` vector samples."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D series")
-    if not np.isfinite(arr).all():
-        i = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValueError(f"series {name}: sample {i} is not finite ({arr[i]!r})")
+    if arr.ndim not in (1, 2) or 0 in arr.shape:
+        raise ValueError(
+            f"{name} must be a non-empty series shaped (length,) or "
+            "(length, dims)"
+        )
+    _require_finite(arr, f"series {name}", stacked=False)
     return arr
 
 
@@ -117,14 +146,14 @@ def _antidiag_layout(window: Window):
 
 def _dtw_antidiag(X: np.ndarray, Y: np.ndarray, window: Window,
                   named: str) -> np.ndarray:
-    """Distances for a ``(p, n) x (p, m)`` pair stack by wavefront
-    sweep; bit-identical to the pure engine (see the module docstring
-    for the evaluation-order argument)."""
-    p = X.shape[0]
+    """Distances for a ``(p, n, dims) x (p, m, dims)`` pair stack by
+    wavefront sweep; bit-identical to the pure engine (see the module
+    docstring for the evaluation-order and channel-fold arguments)."""
+    p, dims = X.shape[0], X.shape[2]
     n, m = window.n, window.m
     istart, iend, I, J = _antidiag_layout(window)
     out = np.empty(p, dtype=np.float64)
-    block = max(1, _BLOCK_BUDGET_CELLS // I.size)
+    block = max(1, _BLOCK_BUDGET_CELLS // (I.size * dims))
     for start in range(0, p, block):
         sl = slice(start, min(start + block, p))
         out[sl] = _antidiag_block(X[sl], Y[sl], n, m, istart, iend, I, J,
@@ -134,12 +163,19 @@ def _dtw_antidiag(X: np.ndarray, Y: np.ndarray, window: Window,
 
 def _antidiag_block(X, Y, n, m, istart, iend, I, J, named) -> np.ndarray:
     # skewed local costs: LS[t, d, k] is the cost of cell
-    # (istart[d] + k, d - i) for pair t
-    LS = X[:, I] - Y[:, J]
-    if named == "squared":
-        np.multiply(LS, LS, out=LS)
-    else:
-        np.abs(LS, out=LS)
+    # (istart[d] + k, d - i) for pair t, folded over the channels in
+    # channel order; the wavefront sweep itself is channel-agnostic
+    LS = None
+    for c in range(X.shape[2]):
+        D = X[:, :, c][:, I] - Y[:, :, c][:, J]
+        if named == "squared":
+            np.multiply(D, D, out=D)
+        else:
+            np.abs(D, out=D)
+        if LS is None:
+            LS = D
+        else:
+            LS += D
     return _antidiag_sweep(LS, n, m, istart, iend)
 
 
@@ -205,12 +241,16 @@ def dtw_chunk(
     (the batch engine's schedule groups pairs by ``(n, m, band)`` and
     pads each group into reusable scratch stacks; a single per-pair
     distance is a one-row stack), and the anti-diagonal wavefront
-    advances every pair of the chunk together.
+    advances every pair of the chunk together.  Multivariate pairs
+    stack as ``(chunk, n, dims)`` / ``(chunk, m, dims)``: each cell's
+    vector cost sums its channels in channel order (the dependent
+    DTW_D measure), and a scalar stack is the one-channel case.
 
     Parameters
     ----------
     xs, ys:
-        Stacked pairs; row ``t`` is the pair ``(xs[t], ys[t])``.
+        Stacked pairs of one rank (2 or 3); row ``t`` is the pair
+        ``(xs[t], ys[t])``.
     window:
         The admitted region, shared by every pair in the chunk.
     cost:
@@ -226,22 +266,32 @@ def dtw_chunk(
     -------
     numpy.ndarray
         ``(count,)`` distances; entry ``t`` is bit-identical to
-        ``dp_over_window(xs[t], ys[t], window, cost=cost).distance``.
-        Each real pair evaluates ``window.cell_count()`` lattice
-        cells.
+        ``dp_over_window(xs[t], ys[t], window, cost=cost).distance``
+        (on a channel axis, with the vector cost
+        :mod:`repro.core.multivariate` resolves ``cost`` to).  Each
+        real pair evaluates ``window.cell_count()`` lattice cells.
 
     Raises
     ------
     ValueError
-        On shape/window mismatch, a callable cost, an out-of-range
-        ``count``, a window excluding the mandatory ``(0, 0)`` start,
-        or a non-finite sample in a *real* row (padding is exempt).
+        On mixed ranks, a shape/window or channel-count mismatch, a
+        callable cost, an out-of-range ``count``, a window excluding
+        the mandatory ``(0, 0)`` start, or a non-finite sample in a
+        *real* row (padding is exempt).
     """
     named = _require_named_cost(cost)
     X = np.ascontiguousarray(xs, dtype=np.float64)
     Y = np.ascontiguousarray(ys, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ValueError("xs and ys must be 2-D with matching pair counts")
+    if (X.ndim not in (2, 3) or Y.ndim != X.ndim
+            or X.shape[0] != Y.shape[0] or 0 in X.shape[2:]):
+        raise ValueError(
+            "xs and ys must be (chunk, length) or (chunk, length, dims) "
+            "stacks of one rank with matching pair counts and dims >= 1"
+        )
+    if X.shape[2:] != Y.shape[2:]:
+        raise ValueError(
+            f"dimension mismatch: {X.shape[2]} vs {Y.shape[2]}"
+        )
     rows = _chunk_rows(X.shape[0], count)
     # slice the real rows *before* any arithmetic or checks: padding
     # must be unable to affect results, warnings or validation
@@ -259,119 +309,33 @@ def dtw_chunk(
     if rows == 0:
         return np.empty(0, dtype=np.float64)
     for name, A in (("xs", X), ("ys", Y)):
-        if not np.isfinite(A).all():
-            t, i = np.argwhere(~np.isfinite(A))[0]
-            raise ValueError(
-                f"chunk {name} row {t}: sample {i} is not finite "
-                f"({A[t, i]!r})"
-            )
+        _require_finite(A, f"chunk {name}", stacked=True)
+    if X.ndim == 2:  # scalar rows: the one-channel view
+        X, Y = X[:, :, None], Y[:, :, None]
     return _dtw_antidiag(X, Y, window, named)
-
-
-def pairwise_matrix_numpy(
-    series: Sequence[Sequence[float]],
-    window: Optional[float] = None,
-    band: Optional[int] = None,
-    cost: CostLike = "squared",
-):
-    """Symmetric all-pairs DTW distance matrix via the batched kernel.
-
-    Follows the package-wide configuration conventions (the same ones
-    :func:`repro.core.matrix.distance_matrix` uses): ``window`` is the
-    paper's *fractional* band, ``band`` an absolute half-width in
-    cells, at most one of the two (neither means Full DTW), and
-    ``cost`` a built-in cost name.
-
-    Returns
-    -------
-    repro.core.matrix.DistanceMatrix
-        With ``measure`` set to ``"cdtw"`` (constrained) or ``"dtw"``
-        (unconstrained) and ``cells`` carrying the exact total DP-cell
-        count, like every other matrix producer.
-    """
-    from .matrix import DistanceMatrix
-
-    named = _require_named_cost(cost)
-    if window is not None and band is not None:
-        raise ValueError("pass either window= or band=, not both")
-    k = len(series)
-    if k < 2:
-        raise ValueError("need at least two series")
-    arrs = [_as_series(s, f"series[{i}]") for i, s in enumerate(series)]
-    n = len(arrs[0])
-    if any(len(a) != n for a in arrs):
-        raise ValueError(
-            "pairwise_matrix_numpy requires equal-length series "
-            "(use distance_matrix for ragged sets)"
-        )
-
-    if window is not None:
-        win = Window.from_fraction(n, n, window)
-    elif band is not None:
-        win = Window.band(n, n, band)
-    else:
-        win = Window.full(n, n)
-
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    values = [[0.0] * k for _ in range(k)]
-    if pairs:
-        xs = np.stack([arrs[i] for i, _ in pairs])
-        ys = np.stack([arrs[j] for _, j in pairs])
-        dists = dtw_chunk(xs, ys, win, cost=named)
-        for (i, j), d in zip(pairs, dists):
-            values[i][j] = values[j][i] = float(d)
-    measure = "dtw" if (window is None and band is None) else "cdtw"
-    return DistanceMatrix(
-        values=tuple(tuple(row) for row in values),
-        measure=measure,
-        cells=win.cell_count() * len(pairs),
-    )
 
 
 # -- envelopes and lower bounds ------------------------------------------
 
 
 def _sliding_extreme(a: np.ndarray, band: int, ufunc, pad: float) -> np.ndarray:
-    """Exact sliding min/max with half-width ``band`` along the last
-    axis, via the van Herk/Gil-Werman two-pass prefix/suffix trick:
-    O(n) for any band, fully vectorised."""
+    """Exact sliding min/max with half-width ``band`` along axis 1, the
+    sample axis of a ``(chunk, n)`` or ``(chunk, n, dims)`` stack (each
+    channel independently), via the van Herk/Gil-Werman two-pass
+    prefix/suffix trick: O(n) for any band, fully vectorised."""
     if band == 0:
         return a.copy()
     w = 2 * band + 1
-    padded = np.concatenate(
-        [np.full(a.shape[:-1] + (band,), pad), a,
-         np.full(a.shape[:-1] + (band,), pad)], axis=-1,
-    )
-    length = padded.shape[-1]
-    nblocks = -(-length // w)
-    total = nblocks * w
-    if total > length:
-        padded = np.concatenate(
-            [padded, np.full(a.shape[:-1] + (total - length,), pad)],
-            axis=-1,
-        )
-    blocks = padded.reshape(a.shape[:-1] + (nblocks, w))
-    prefix = ufunc.accumulate(blocks, axis=-1)
-    suffix = ufunc.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
-    prefix = prefix.reshape(a.shape[:-1] + (total,))
-    suffix = suffix.reshape(a.shape[:-1] + (total,))
-    count = a.shape[-1]
-    return ufunc(suffix[..., :count], prefix[..., w - 1:w - 1 + count])
-
-
-def envelope_numpy(x, band: int):
-    """Vectorised warping envelope, value-identical to
-    :func:`repro.lowerbounds.envelope.envelope`."""
-    from ..lowerbounds.envelope import Envelope
-
-    if band < 0:
-        raise ValueError("band must be non-negative")
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("cannot compute envelope of an empty series")
-    upper = _sliding_extreme(arr, band, np.maximum, -_INF)
-    lower = _sliding_extreme(arr, band, np.minimum, _INF)
-    return Envelope(band, upper.tolist(), lower.tolist())
+    rows, count = a.shape[:2]
+    channels = a.shape[2:]
+    nblocks = -(-(count + 2 * band) // w)
+    padded = np.full((rows, nblocks * w) + channels, pad)
+    padded[:, band:band + count] = a
+    blocks = padded.reshape((rows, nblocks, w) + channels)
+    prefix = ufunc.accumulate(blocks, axis=2).reshape(padded.shape)
+    suffix = ufunc.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1]
+    suffix = suffix.reshape(padded.shape)
+    return ufunc(suffix[:, :count], prefix[:, w - 1:w - 1 + count])
 
 
 def envelope_chunk(
@@ -381,15 +345,20 @@ def envelope_chunk(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Lemire warping envelopes for a stacked chunk of series.
 
-    Two sliding-extreme passes over the whole ``(chunk, n)`` stack at
-    once; row ``t`` of the output is value-identical to
-    :func:`repro.lowerbounds.envelope.envelope` of ``series[t]``.
+    Two sliding-extreme passes over the whole stack at once; row ``t``
+    of the output is value-identical to
+    :func:`repro.lowerbounds.envelope.envelope` of ``series[t]``.  On a
+    channel axis each channel's envelope is computed independently (the
+    multivariate bounds charge gap costs per channel and sum), so row
+    ``t`` channel ``k`` is value-identical to the envelope of
+    ``series[t][:, k]``.
 
     Parameters
     ----------
     series:
-        ``(chunk, n)`` stack (a single 1-D series is promoted to one
-        row).
+        ``(chunk, n)`` or ``(chunk, n, dims)`` stack (a single 1-D
+        series is promoted to one row; a single ``(n, dims)`` series
+        is passed as a one-row stack).
     band:
         Envelope half-width in samples.
     count:
@@ -399,15 +368,20 @@ def envelope_chunk(
     Returns
     -------
     (numpy.ndarray, numpy.ndarray)
-        ``(upper, lower)`` stacks of shape ``(count, n)``.
+        ``(upper, lower)`` stacks shaped like the real rows:
+        ``(count, n)``, or ``(count, n, dims)`` sample-major like the
+        series themselves.
     """
     if band < 0:
         raise ValueError("band must be non-negative")
     arr = np.ascontiguousarray(series, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise ValueError("series must stack as a non-empty 2-D chunk")
+    if arr.ndim not in (2, 3) or 0 in arr.shape[1:]:
+        raise ValueError(
+            "series must stack as a non-empty (chunk, length) or "
+            "(chunk, length, dims) chunk"
+        )
     rows = _chunk_rows(arr.shape[0], count)
     arr = arr[:rows]
     upper = _sliding_extreme(arr, band, np.maximum, -_INF)
@@ -632,255 +606,3 @@ def lb_kim_batch(
             d(q[-2], C[:, -2]),
         )
     return bound
-
-
-# -- multivariate (nd) kernels -------------------------------------------
-#
-# A multivariate series is shaped ``(length, dims)``.  The dependent
-# DP's local cost is the per-sample squared-Euclidean (or L1) distance,
-# accumulated **per channel in channel order** -- a strict left fold
-# from 0.0, exactly like :func:`repro.core.multivariate.vector_squared_cost`
-# -- so every lattice value (and hence every distance) is
-# bit-identical to the pure engine.  A
-# ``np.sum(..., axis=-1)`` over channels would NOT be: NumPy's pairwise
-# reduction reassociates the additions.
-
-
-def _as_series_nd(x, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError(
-            f"{name} must be a non-empty multivariate series shaped "
-            "(length, dims)"
-        )
-    if not np.isfinite(arr).all():
-        i, k = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(
-            f"series {name}: sample {i} component {k} is not finite "
-            f"({arr[i, k]!r})"
-        )
-    return arr
-
-
-def _antidiag_block_nd(X, Y, n, m, istart, iend, I, J, named) -> np.ndarray:
-    # per-channel sequential accumulation of the skewed local costs;
-    # the wavefront sweep itself is channel-agnostic
-    p = X.shape[0]
-    LS = np.zeros((p,) + I.shape, dtype=np.float64)
-    for k in range(X.shape[2]):
-        D = X[:, :, k][:, I] - Y[:, :, k][:, J]
-        if named == "squared":
-            np.multiply(D, D, out=D)
-        else:
-            np.abs(D, out=D)
-        LS += D
-    return _antidiag_sweep(LS, n, m, istart, iend)
-
-
-def _dtw_antidiag_nd(X: np.ndarray, Y: np.ndarray, window: Window,
-                     named: str) -> np.ndarray:
-    """Distances for a ``(p, n, dims) x (p, m, dims)`` pair stack by
-    wavefront sweep, bit-identical to the pure engine with the vector
-    cost."""
-    p, dims = X.shape[0], X.shape[2]
-    n, m = window.n, window.m
-    istart, iend, I, J = _antidiag_layout(window)
-    out = np.empty(p, dtype=np.float64)
-    block = max(1, _BLOCK_BUDGET_CELLS // (I.size * dims))
-    for start in range(0, p, block):
-        sl = slice(start, min(start + block, p))
-        out[sl] = _antidiag_block_nd(X[sl], Y[sl], n, m, istart, iend,
-                                     I, J, named)
-    return out
-
-
-def dtw_nd_chunk(
-    xs,
-    ys,
-    window: Window,
-    cost: CostLike = "squared",
-    count: Optional[int] = None,
-) -> np.ndarray:
-    """Dependent-DTW distances for one shape-homogeneous nd chunk.
-
-    The multivariate face of :func:`dtw_chunk`: pairs arrive stacked
-    as ``(chunk, n, dims)`` / ``(chunk, m, dims)`` arrays and every
-    pair advances through the anti-diagonal wavefront together.  The
-    ``count=`` padding contract is identical -- rows at index
-    ``count`` and beyond are **never read** and may hold NaN/inf
-    garbage; real rows are sliced off before any arithmetic or
-    validation.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(count,)`` distances; entry ``t`` is bit-identical to
-        ``dp_over_window(xs[t], ys[t], window, cost=vcost).distance``
-        with ``vcost`` the vector cost
-        :mod:`repro.core.multivariate` resolves ``cost`` to.
-    """
-    named = _require_named_cost(cost)
-    X = np.ascontiguousarray(xs, dtype=np.float64)
-    Y = np.ascontiguousarray(ys, dtype=np.float64)
-    if X.ndim != 3 or Y.ndim != 3 or X.shape[0] != Y.shape[0]:
-        raise ValueError(
-            "xs and ys must be 3-D (chunk, length, dims) stacks with "
-            "matching pair counts"
-        )
-    if X.shape[2] != Y.shape[2]:
-        raise ValueError(
-            f"dimension mismatch: {X.shape[2]} vs {Y.shape[2]}"
-        )
-    rows = _chunk_rows(X.shape[0], count)
-    # slice the real rows *before* any arithmetic or checks: padding
-    # must be unable to affect results, warnings or validation
-    X, Y = X[:rows], Y[:rows]
-    n, m = X.shape[1], Y.shape[1]
-    if (n, m) != (window.n, window.m):
-        raise ValueError(
-            f"window is {window.n}x{window.m} but series are {n}x{m}"
-        )
-    if window.ranges[0][0] != 0:
-        raise ValueError(
-            f"window row 0 starts at column {window.ranges[0][0]}, "
-            "excluding the mandatory path start (0, 0)"
-        )
-    if rows == 0:
-        return np.empty(0, dtype=np.float64)
-    for name, A in (("xs", X), ("ys", Y)):
-        if not np.isfinite(A).all():
-            t, i, k = np.argwhere(~np.isfinite(A))[0]
-            raise ValueError(
-                f"chunk {name} row {t}: sample {i} component {k} is "
-                f"not finite ({A[t, i, k]!r})"
-            )
-    return _dtw_antidiag_nd(X, Y, window, named)
-
-
-def envelope_nd_chunk(
-    series,
-    band: int,
-    count: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-channel Lemire envelopes for a stacked nd chunk.
-
-    Each channel's envelope is computed independently (the
-    multivariate bounds charge gap costs per channel and sum), so row
-    ``t`` channel ``k`` of the output is value-identical to
-    :func:`repro.lowerbounds.envelope.envelope` of
-    ``series[t][:, k]``.
-
-    Parameters
-    ----------
-    series:
-        ``(chunk, n, dims)`` stack (a single ``(n, dims)`` series is
-        promoted to one row).
-    band:
-        Envelope half-width in samples.
-    count:
-        Real leading rows, as in :func:`dtw_chunk`; pad rows are never
-        read.
-
-    Returns
-    -------
-    (numpy.ndarray, numpy.ndarray)
-        ``(upper, lower)`` stacks of shape ``(count, n, dims)`` --
-        sample-major, like the series themselves.
-    """
-    if band < 0:
-        raise ValueError("band must be non-negative")
-    arr = np.ascontiguousarray(series, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None]
-    if arr.ndim != 3 or arr.shape[1] == 0 or arr.shape[2] == 0:
-        raise ValueError(
-            "series must stack as a non-empty (chunk, length, dims) "
-            "3-D chunk"
-        )
-    rows = _chunk_rows(arr.shape[0], count)
-    arr = arr[:rows]
-    # the sliding extreme runs over the last axis; put length there
-    swapped = np.ascontiguousarray(arr.swapaxes(1, 2))
-    upper = _sliding_extreme(swapped, band, np.maximum, -_INF)
-    lower = _sliding_extreme(swapped, band, np.minimum, _INF)
-    return upper.swapaxes(1, 2), lower.swapaxes(1, 2)
-
-
-def lb_keogh_nd_chunk(
-    upper,
-    lower,
-    candidates,
-    squared: bool = True,
-    abandon_above: Optional[float] = None,
-    count: Optional[int] = None,
-) -> np.ndarray:
-    """Multivariate LB_Keogh over a stacked chunk: per-channel scalar
-    LB_Keogh values summed in channel order.
-
-    The summed bound lower-bounds **both** multivariate measures: it
-    is admissible for ``cdtw_i`` per channel, and
-    ``cdtw_i <= cdtw_d`` (the dependent optimum's shared path is
-    admissible for every channel).  Bit-identical to the pure-python
-    twin: each channel accumulates with ``np.cumsum`` (a strict
-    left-to-right fold) and channels accumulate sequentially from 0.0.
-
-    Parameters
-    ----------
-    upper, lower:
-        Query envelope(s): ``(n, dims)`` arrays shared by every
-        candidate, or ``(chunk, n, dims)`` stacks with one envelope
-        per row (e.g. from :func:`envelope_nd_chunk`).
-    candidates:
-        ``(chunk, n, dims)`` candidate stack (a single series
-        promotes to one row).
-    squared:
-        Squared (default) or absolute per-point gap cost.
-    abandon_above:
-        Bounds exceeding this report ``inf``.  Gap costs are
-        non-negative, so the decision equals the sequential
-        early-abandon's.
-    count:
-        Real leading rows, as in :func:`dtw_chunk`; pad rows (of the
-        candidates *and* of stacked envelopes) are never read.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(count,)`` bounds.
-    """
-    C = np.ascontiguousarray(candidates, dtype=np.float64)
-    if C.ndim == 2:
-        C = C[None]
-    if C.ndim != 3:
-        raise ValueError(
-            "candidates must stack as a (chunk, length, dims) 3-D chunk"
-        )
-    rows = _chunk_rows(C.shape[0], count)
-    C = C[:rows]
-    up = np.asarray(upper, dtype=np.float64)
-    lo = np.asarray(lower, dtype=np.float64)
-    if up.shape != lo.shape:
-        raise ValueError("upper and lower envelopes must match in shape")
-    if up.ndim == 3:
-        up, lo = up[:rows], lo[:rows]
-    elif up.ndim != 2:
-        raise ValueError(
-            "envelopes must be (length, dims) or a (chunk, length, "
-            "dims) stack"
-        )
-    if up.shape[-2:] != C.shape[1:]:
-        raise ValueError(
-            f"candidate shape {C.shape[1:]} != envelope shape "
-            f"{up.shape[-2:]}"
-        )
-    if rows == 0:
-        return np.empty(0, dtype=np.float64)
-    totals = np.zeros(rows, dtype=np.float64)
-    for k in range(C.shape[2]):
-        gaps = _gap_costs(C[..., k], lo[..., k], up[..., k], squared)
-        # cumsum adds strictly left to right; its last column is the
-        # scalar loop's per-channel total, operand for operand
-        totals += np.cumsum(gaps, axis=1)[:, -1]
-    if abandon_above is not None:
-        totals[totals > abandon_above] = _INF
-    return totals

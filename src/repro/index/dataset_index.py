@@ -344,6 +344,11 @@ def _moments_nd(raw: Sequence[Sequence[float]]) -> Tuple[float, ...]:
     return tuple(out)
 
 
+def _row(row) -> Tuple[float, ...]:
+    """One ``(n,)`` row as floats."""
+    return tuple(float(v) for v in row)
+
+
 def _flat(row) -> Tuple[float, ...]:
     """One ``(n, dims)`` row flattened sample-major."""
     return tuple(float(c) for v in row for c in v)
@@ -363,26 +368,11 @@ def _assemble(
     dims: int = 1,
 ) -> DatasetIndex:
     rt = Runtime.resolve(runtime).serial()
-    if dims == 1:
-        upper, lower = rt.kernels().envelope_chunk(prepared, band)
-        return DatasetIndex(
-            kind=kind,
-            band=band,
-            normalize=normalize,
-            step=step,
-            window=window,
-            starts=tuple(int(s) for s in starts),
-            source_fingerprint=source_fingerprint,
-            series=tuple(tuple(float(v) for v in s) for s in prepared),
-            upper=tuple(tuple(float(v) for v in row) for row in upper),
-            lower=tuple(tuple(float(v) for v in row) for row in lower),
-            kim=tuple((float(s[0]), float(s[-1])) for s in prepared),
-            moments=tuple(_moments(s) for s in raw),
-        )
-    # multivariate: per-channel envelopes come back sample-major
-    # (chunk, n, dims) from envelope_nd_chunk, exactly the layout the
-    # flat rows persist
-    upper, lower = rt.kernels().envelope_nd_chunk(prepared, band)
+    # one kernel for both shapes: multivariate envelopes come back
+    # per channel, sample-major (chunk, n, dims), exactly the layout
+    # the flat rows persist
+    upper, lower = rt.kernels().envelope_chunk(prepared, band)
+    flat, moments = (_row, _moments) if dims == 1 else (_flat, _moments_nd)
     return DatasetIndex(
         kind=kind,
         band=band,
@@ -391,14 +381,11 @@ def _assemble(
         window=window,
         starts=tuple(int(s) for s in starts),
         source_fingerprint=source_fingerprint,
-        series=tuple(_flat(s) for s in prepared),
-        upper=tuple(_flat(row) for row in upper),
-        lower=tuple(_flat(row) for row in lower),
-        kim=tuple(
-            tuple(float(c) for c in s[0]) + tuple(float(c) for c in s[-1])
-            for s in prepared
-        ),
-        moments=tuple(_moments_nd(s) for s in raw),
+        series=tuple(flat(s) for s in prepared),
+        upper=tuple(flat(row) for row in upper),
+        lower=tuple(flat(row) for row in lower),
+        kim=tuple(flat((s[0], s[-1])) for s in prepared),
+        moments=tuple(moments(s) for s in raw),
         dims=dims,
     )
 

@@ -14,9 +14,11 @@ so one summed bound is admissible for *both* multivariate measures
 (property-tested in ``tests/lowerbounds/test_nd_bounds.py``).
 
 Channels are summed in channel order with plain sequential float
-addition -- the exact fold the numpy chunk kernel
-(:func:`repro.core.numpy_backend.lb_keogh_nd_chunk`) replicates, so
-the two backends agree bit for bit.
+addition from ``0.0``, and ``0.0 + b == b`` for every bound
+``b >= +0``, so a one-channel series reproduces the scalar bound bit
+for bit (``tests/core/test_dim1_reduction.py``).  These sums are not
+twins of the scalar bounds: every backend runs them, and they call the
+scalar bounds once per channel.
 """
 
 from __future__ import annotations

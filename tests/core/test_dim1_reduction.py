@@ -1,11 +1,13 @@
 """Dimension-1 multivariate series reduce bit-exactly to the scalar engine.
 
 A ``(length, 1)`` series wraps each sample in a 1-tuple; the vector
-squared-Euclidean cost then *is* the scalar squared cost, so every nd
-measure must reproduce the scalar measure's distance, DP cell count
-and warping path to the bit -- on both backends, and through the
-bounds and envelopes too.  This is the anchor that makes the
-multivariate stack an extension rather than a fork.
+squared-Euclidean (or L1) cost then *is* the scalar squared (or
+absolute) cost, so every nd measure must reproduce the scalar
+measure's distance, DP cell count and warping path to the bit -- under
+both costs, on both backends, and through the bounds and envelopes
+too.  This is the anchor that makes the multivariate stack an
+extension rather than a fork, and that lets one stacked kernel serve
+``(chunk, n)`` and ``(chunk, n, dims)`` stacks alike.
 """
 
 import pytest
@@ -33,10 +35,14 @@ from repro.lowerbounds.nd import (
     lb_kim_nd,
 )
 from repro.lowerbounds.lb_improved import lb_improved
+from repro.obs import RunTrace
 from tests.conftest import make_series
 
 BACKENDS = tuple(available_backends())
 SEEDS = (0, 1, 2)
+
+
+COSTS = ("squared", "abs")
 
 
 def _wrap(series):
@@ -44,48 +50,55 @@ def _wrap(series):
 
 
 class TestMeasuresReduce:
+    @pytest.mark.parametrize("cost", COSTS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_dtw_d_equals_scalar_dtw(self, seed):
+    def test_dtw_d_equals_scalar_dtw(self, seed, cost):
         xs, ys = make_series(20, seed), make_series(24, seed + 50)
-        got = dtw_nd(_wrap(xs), _wrap(ys), return_path=True)
-        ref = dtw(xs, ys, return_path=True)
+        got = dtw_nd(_wrap(xs), _wrap(ys), cost=cost, return_path=True)
+        ref = dtw(xs, ys, cost=cost, return_path=True)
         assert got.distance == ref.distance
         assert got.cells == ref.cells
         assert got.path == ref.path
 
+    @pytest.mark.parametrize("cost", COSTS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_cdtw_d_equals_scalar_cdtw(self, seed):
+    def test_cdtw_d_equals_scalar_cdtw(self, seed, cost):
         xs, ys = make_series(20, seed), make_series(20, seed + 50)
-        got = cdtw_nd(_wrap(xs), _wrap(ys), band=4, return_path=True)
-        ref = cdtw(xs, ys, band=4, return_path=True)
+        got = cdtw_nd(_wrap(xs), _wrap(ys), band=4, cost=cost,
+                      return_path=True)
+        ref = cdtw(xs, ys, band=4, cost=cost, return_path=True)
         assert got.distance == ref.distance
         assert got.cells == ref.cells
         assert got.path == ref.path
 
+    @pytest.mark.parametrize("cost", COSTS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_dtw_i_equals_scalar_dtw(self, seed):
+    def test_dtw_i_equals_scalar_dtw(self, seed, cost):
         xs, ys = make_series(20, seed), make_series(24, seed + 50)
-        got = dtw_i(_wrap(xs), _wrap(ys), return_path=True)
-        ref = dtw(xs, ys, return_path=True)
+        got = dtw_i(_wrap(xs), _wrap(ys), cost=cost, return_path=True)
+        ref = dtw(xs, ys, cost=cost, return_path=True)
         assert got.distance == ref.distance
         assert got.cells == ref.cells
         # DTW_I paths come back as a per-channel tuple
         assert got.path == (ref.path,)
 
+    @pytest.mark.parametrize("cost", COSTS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_cdtw_i_equals_scalar_cdtw(self, seed):
+    def test_cdtw_i_equals_scalar_cdtw(self, seed, cost):
         xs, ys = make_series(20, seed), make_series(20, seed + 50)
-        got = cdtw_i(_wrap(xs), _wrap(ys), band=4, return_path=True)
-        ref = cdtw(xs, ys, band=4, return_path=True)
+        got = cdtw_i(_wrap(xs), _wrap(ys), band=4, cost=cost,
+                     return_path=True)
+        ref = cdtw(xs, ys, band=4, cost=cost, return_path=True)
         assert got.distance == ref.distance
         assert got.cells == ref.cells
         assert got.path == (ref.path,)
 
+    @pytest.mark.parametrize("cost", COSTS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_fastdtw_nd_equals_scalar_fastdtw(self, seed):
+    def test_fastdtw_nd_equals_scalar_fastdtw(self, seed, cost):
         xs, ys = make_series(40, seed), make_series(40, seed + 50)
-        got = fastdtw_nd(_wrap(xs), _wrap(ys), radius=1)
-        ref = fastdtw(xs, ys, radius=1)
+        got = fastdtw_nd(_wrap(xs), _wrap(ys), radius=1, cost=cost)
+        ref = fastdtw(xs, ys, radius=1, cost=cost)
         assert got.distance == ref.distance
         assert got.cells == ref.cells
         assert got.path == ref.path
@@ -99,6 +112,9 @@ class TestMeasuresReduce:
 
 
 class TestMeasureFnReduces:
+    @pytest.mark.parametrize("return_path", (False, True),
+                             ids=["distance", "path"])
+    @pytest.mark.parametrize("cost", COSTS)
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
         "nd_measure,scalar_measure,kwargs",
@@ -110,40 +126,74 @@ class TestMeasureFnReduces:
         ],
     )
     def test_registry_dim1_equals_scalar(
-        self, backend, nd_measure, scalar_measure, kwargs
+        self, backend, nd_measure, scalar_measure, kwargs, cost,
+        return_path,
     ):
         xs, ys = make_series(22, 3), make_series(22, 4)
+        kwargs = dict(kwargs, cost=cost, return_path=return_path)
         nd_fn = measure_fn(nd_measure, backend=backend, **kwargs)
         sc_fn = measure_fn(scalar_measure, backend=backend, **kwargs)
-        d_nd, cells_nd, _ = split_result(nd_fn(_wrap(xs), _wrap(ys)))
-        d_sc, cells_sc, _ = split_result(sc_fn(xs, ys))
+        d_nd, cells_nd, path_nd = split_result(nd_fn(_wrap(xs), _wrap(ys)))
+        d_sc, cells_sc, path_sc = split_result(sc_fn(xs, ys))
         assert d_nd == d_sc
         assert cells_nd == cells_sc
+        if return_path and nd_measure.endswith("_i"):
+            path_sc = (path_sc,)
+        assert path_nd == path_sc
 
 
 class TestKernelsReduce:
+    """A ``(chunk, n, 1)`` stack is the ``(chunk, n)`` stack."""
+
+    @pytest.mark.parametrize("cost", COSTS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dtw_nd_kernel_equals_scalar_kernel(self, backend):
+    def test_one_pair_channel_stack_equals_scalar_stack(self, backend,
+                                                        cost):
         # one pair per call: the numpy per-pair distance is this stack
         xs, ys = make_series(18, 5), make_series(18, 6)
         kernels = get_kernels(backend)
         win = Window.band(18, 18, 3)
-        got = kernels.dtw_nd_chunk([_wrap(xs)], [_wrap(ys)], win)
-        ref = kernels.dtw_chunk([xs], [ys], win)
+        got = kernels.dtw_chunk([_wrap(xs)], [_wrap(ys)], win, cost=cost)
+        ref = kernels.dtw_chunk([xs], [ys], win, cost=cost)
         assert float(got[0]) == float(ref[0])
 
+    @pytest.mark.parametrize("cost", COSTS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chunk_kernel_equals_scalar_chunk(self, backend):
+    def test_channel_stack_equals_scalar_stack(self, backend, cost):
         kernels = get_kernels(backend)
         n, chunk = 14, 4
         xs = [make_series(n, s) for s in range(chunk)]
         ys = [make_series(n, 20 + s) for s in range(chunk)]
-        win = Window.band(n, n, 3)
-        nd = kernels.dtw_nd_chunk(
-            [_wrap(x) for x in xs], [_wrap(y) for y in ys], win
-        )
-        sc = kernels.dtw_chunk(xs, ys, win)
-        assert [float(v) for v in nd] == [float(v) for v in sc]
+        for win in (Window.band(n, n, 3), Window.full(n, n)):
+            with RunTrace() as nd_trace:
+                nd = kernels.dtw_chunk(
+                    [_wrap(x) for x in xs], [_wrap(y) for y in ys], win,
+                    cost=cost,
+                )
+            with RunTrace() as sc_trace:
+                sc = kernels.dtw_chunk(xs, ys, win, cost=cost)
+            assert [float(v) for v in nd] == [float(v) for v in sc]
+            for counter in ("dp.calls", "dp.cells"):
+                assert (
+                    nd_trace.counter(counter) == sc_trace.counter(counter)
+                )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_channel_envelopes_equal_scalar_envelopes(self, backend):
+        kernels = get_kernels(backend)
+        rows = [make_series(16, 30 + s) for s in range(3)]
+        for band in (0, 3, 16):
+            nd_up, nd_lo = kernels.envelope_chunk(
+                [_wrap(r) for r in rows], band
+            )
+            up, lo = kernels.envelope_chunk(rows, band)
+            for t in range(len(rows)):
+                assert [float(v[0]) for v in nd_up[t]] == [
+                    float(v) for v in up[t]
+                ]
+                assert [float(v[0]) for v in nd_lo[t]] == [
+                    float(v) for v in lo[t]
+                ]
 
 
 class TestBoundsReduce:
@@ -154,19 +204,26 @@ class TestBoundsReduce:
         assert list(env_nd.upper) == list(env.upper)
         assert list(env_nd.lower) == list(env.lower)
 
-    def test_lb_kim_nd_dim1(self):
+    @pytest.mark.parametrize("cost", COSTS)
+    def test_lb_kim_nd_dim1(self, cost):
         xs, ys = make_series(16, 1), make_series(16, 2)
-        assert lb_kim_nd(_wrap(xs), _wrap(ys)) == lb_kim(xs, ys)
+        assert lb_kim_nd(_wrap(xs), _wrap(ys), cost=cost) == lb_kim(
+            xs, ys, cost=cost
+        )
 
-    def test_lb_keogh_nd_dim1(self):
+    @pytest.mark.parametrize("cost", COSTS)
+    def test_lb_keogh_nd_dim1(self, cost):
+        squared = cost == "squared"
         xs, ys = make_series(16, 3), make_series(16, 4)
         envs = envelopes_nd(_wrap(xs), 3)
-        assert lb_keogh_nd(envs, _wrap(ys)) == lb_keogh(
-            envelope(xs, 3), ys
+        assert lb_keogh_nd(envs, _wrap(ys), squared=squared) == lb_keogh(
+            envelope(xs, 3), ys, squared=squared
         )
 
-    def test_lb_improved_nd_dim1(self):
+    @pytest.mark.parametrize("cost", COSTS)
+    def test_lb_improved_nd_dim1(self, cost):
+        squared = cost == "squared"
         xs, ys = make_series(16, 5), make_series(16, 6)
-        assert lb_improved_nd(_wrap(xs), _wrap(ys), 3) == lb_improved(
-            xs, ys, 3
-        )
+        assert lb_improved_nd(
+            _wrap(xs), _wrap(ys), 3, squared=squared
+        ) == lb_improved(xs, ys, 3, squared=squared)

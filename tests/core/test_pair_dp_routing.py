@@ -1,10 +1,10 @@
 """One per-pair DP engine: where each per-pair DP runs, per backend.
 
 :func:`repro.core.kernels.stacked_kernels` is the rule.  A plain
-per-pair distance on the numpy backend is a one-pair ``dtw_chunk`` /
-``dtw_nd_chunk`` call; every per-pair DP that returns a path or may
-abandon runs the pure engine (:func:`repro.core.engine.dp_over_window`)
-whatever the backend.  Spies on the engine's DP body and on the
+per-pair distance on the numpy backend is a one-pair ``dtw_chunk``
+call (a multivariate pair with a channel axis); every per-pair DP that
+returns a path or may abandon runs the pure engine
+(:func:`repro.core.engine.dp_over_window`) whatever the backend.  Spies on the engine's DP body and on the
 stacked kernels count where each DP ran, the trace's ``dp.calls`` must
 equal that count, and every answer must equal the python backend's.
 """
@@ -45,10 +45,8 @@ def calls(monkeypatch):
     monkeypatch.setattr(
         engine, "_dp_over_window", spy(engine._dp_over_window, "engine")
     )
+    # one stacked kernel for scalar and multivariate pairs alike
     monkeypatch.setattr(nb, "dtw_chunk", spy(nb.dtw_chunk, "stacked"))
-    monkeypatch.setattr(
-        nb, "dtw_nd_chunk", spy(nb.dtw_nd_chunk, "stacked")
-    )
     return counts
 
 
