@@ -533,34 +533,6 @@ def _record_cache_stats(trace, stats: CacheStats) -> None:
     trace.incr("cache.znorm_misses", stats.znorm_misses)
 
 
-def chunk_probe(fn):
-    """Run ``fn()`` under a private trace; summarise its chunk path.
-
-    Returns ``(value, stats)`` where ``stats`` reports how the stacked
-    chunk kernels executed: scheduled chunks, kernel calls, shape
-    groups, real pairs stacked, pad rows and the pad-waste fraction.
-    Lives here (not in the benchmark) so callers in ``repro.timing``
-    never have to name the obs hooks -- the harness-pin source scan
-    forbids them there.
-    """
-    from ..obs import RunTrace
-
-    with RunTrace() as trace:
-        value = fn()
-    stacked = trace.counter("chunk.pairs")
-    pad = trace.counter("chunk.pad_rows")
-    return value, {
-        "sched_chunks": trace.counter("pool.chunks"),
-        "kernel_calls": trace.counter("chunk.calls"),
-        "groups": trace.counter("chunk.groups"),
-        "stacked_pairs": stacked,
-        "pad_rows": pad,
-        "pad_waste_fraction": (
-            pad / (stacked + pad) if stacked + pad else 0.0
-        ),
-    }
-
-
 def _pick_context(start_method: Optional[str]):
     if start_method is not None:
         return multiprocessing.get_context(start_method)

@@ -5,8 +5,7 @@ The one-shot pool path in :mod:`repro.batch.engine` pays for a fresh
 whole series set through the initializer -- on **every** call.  For
 the paper's repeated-use workloads (kNN, LOOCV, k-means, linkage: the
 same dataset measured thousands of times) that overhead swamps the
-parallel win; ``BENCH_kernels.json`` recorded ``python_workers`` at
-0.85x *serial* because of it.
+parallel win.
 
 :class:`BatchExecutor` amortises all three cold costs:
 

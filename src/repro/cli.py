@@ -12,8 +12,6 @@ Usage::
     python -m repro runtime --workers 4       # resolved execution context
     python -m repro index build --out d0.idx  # ahead-of-time search index
     python -m repro index stat d0.idx         # verify + summarise an index
-    python -m repro index bench               # pruning power -> BENCH_index.json
-    python -m repro rle bench                 # compression curve -> BENCH_rle.json
     python -m repro serve                     # micro-batching query service
     python -m repro serve --self-test         # parity + telemetry smoke
 
@@ -83,52 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--seed", type=int, default=0,
                        help="random-walk seed (default 0)")
 
-    kernels = sub.add_parser(
-        "kernels",
-        help="micro-benchmark the kernel backends (python vs numpy)",
-    )
-    kernels.add_argument("--count", type=int, default=None,
-                         help="number of random-walk series (default 8)")
-    kernels.add_argument("--length", type=int, default=None,
-                         help="length of each series (default 1000)")
-    kernels.add_argument("--window", type=float, default=0.1,
-                         help="cDTW window fraction (default 0.1)")
-    kernels.add_argument("--workers", type=int, default=2,
-                         help="pool size for the +workers rows (default 2)")
-    kernels.add_argument("--repeats", type=int, default=3,
-                         help="timing repeats, best-of (default 3)")
-    kernels.add_argument("--seed", type=int, default=0,
-                         help="random-walk seed (default 0)")
-    kernels.add_argument("--smoke", action="store_true",
-                         help="tiny CI workload (exercises the same "
-                              "code paths, meaningless timings)")
-    kernels.add_argument("--warm", action="store_true",
-                         help="benchmark the persistent BatchExecutor "
-                              "warm-vs-cold instead of the backends "
-                              "(default output BENCH_batch.json)")
-    kernels.add_argument("--nd", action="store_true",
-                         help="benchmark the multivariate (DTW_D) "
-                              "kernels instead of the scalar ones "
-                              "(default output BENCH_multivariate.json)")
-    kernels.add_argument("--dims", type=int, default=3,
-                         help="channel count for --nd (default 3)")
-    kernels.add_argument("--min-warm-speedup", type=float, default=None,
-                         help="with --warm: fail (exit 1) if warm "
-                              "python_workers speedup over serial is "
-                              "below this (use on multi-core CI; "
-                              "meaningless on 1 CPU)")
-    kernels.add_argument("--min-warm-numpy-speedup", type=float,
-                         default=None,
-                         help="with --warm: fail (exit 1) if warm "
-                              "numpy_workers speedup over numpy serial "
-                              "is below this (the chunk-kernel path; "
-                              "use on multi-core CI, meaningless on "
-                              "1 CPU)")
-    kernels.add_argument("--out", default=None,
-                         help="output JSON path ('-' to skip writing; "
-                              "default BENCH_kernels.json, or "
-                              "BENCH_batch.json with --warm)")
-
     trace = sub.add_parser(
         "trace",
         help="run an instrumented workload; emit the JSON trace",
@@ -172,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     index = sub.add_parser(
         "index",
-        help="build, inspect or benchmark an ahead-of-time search index",
+        help="build or inspect an ahead-of-time search index",
     )
     index_sub = index.add_subparsers(dest="index_command", required=True)
 
@@ -200,57 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
              "its summary as JSON",
     )
     index_stat.add_argument("path", help="index file to inspect")
-
-    index_bench = index_sub.add_parser(
-        "bench",
-        help="pruning-power benchmark: indexed vs unindexed, "
-             "LB_Keogh vs +LB_Improved (default output "
-             "BENCH_index.json)",
-    )
-    index_bench.add_argument("--n-datasets", type=int, default=3,
-                             help="archive size (default 3)")
-    index_bench.add_argument("--per-class", type=int, default=5,
-                             help="series per class per dataset "
-                                  "(default 5)")
-    index_bench.add_argument("--window", type=float, default=0.1,
-                             help="band fraction (default 0.1)")
-    index_bench.add_argument("--seed", type=int, default=0,
-                             help="archive seed (default 0)")
-    index_bench.add_argument("--backend", default=None,
-                             help="kernel backend (default: process "
-                                  "default)")
-    index_bench.add_argument("--out", default="BENCH_index.json",
-                             help="output JSON path ('-' to skip "
-                                  "writing; default BENCH_index.json)")
-
-    rle = sub.add_parser(
-        "rle",
-        help="benchmark the compressed-domain (run-length encoded) "
-             "exact DTW fast path",
-    )
-    rle_sub = rle.add_subparsers(dest="rle_command", required=True)
-    rle_bench = rle_sub.add_parser(
-        "bench",
-        help="compression-ratio-vs-speedup curve on quantized power "
-             "traces; exits nonzero unless distances are bit-exact "
-             "and the compressed path wins at high compression "
-             "(default output BENCH_rle.json)",
-    )
-    rle_bench.add_argument("--length", type=int, default=450,
-                           help="trace length (default 450)")
-    rle_bench.add_argument("--n-pairs", type=int, default=2,
-                           help="trace pairs per quantization level "
-                                "(default 2)")
-    rle_bench.add_argument("--repeats", type=int, default=3,
-                           help="timing repeats, best-of (default 3)")
-    rle_bench.add_argument("--seed", type=int, default=0,
-                           help="trace seed (default 0)")
-    rle_bench.add_argument("--backend", default=None,
-                           help="kernel backend (default: process "
-                                "default)")
-    rle_bench.add_argument("--out", default="BENCH_rle.json",
-                           help="output JSON path ('-' to skip "
-                                "writing; default BENCH_rle.json)")
 
     serve = sub.add_parser(
         "serve",
@@ -371,84 +272,6 @@ def cmd_batch(args) -> int:
     return 0 if serial.cells == parallel.cells else 1
 
 
-def cmd_kernels(args) -> int:
-    import json
-
-    from .timing.kernel_bench import (
-        SMOKE_COUNT,
-        SMOKE_LENGTH,
-        executor_benchmark,
-        format_executor_report,
-        format_report,
-        kernel_benchmark,
-        multivariate_benchmark,
-    )
-
-    if args.warm and args.nd:
-        print("error: --warm and --nd are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.smoke:
-        count = args.count if args.count is not None else SMOKE_COUNT
-        length = args.length if args.length is not None else SMOKE_LENGTH
-        repeats = 1
-    else:
-        count = args.count if args.count is not None else 8
-        length = args.length if args.length is not None else 1000
-        repeats = args.repeats
-    bench = executor_benchmark if args.warm else kernel_benchmark
-    out = args.out
-    if out is None:
-        out = "BENCH_batch.json" if args.warm else "BENCH_kernels.json"
-    extra = {}
-    if args.nd:
-        bench = multivariate_benchmark
-        extra["dims"] = args.dims
-        if args.out is None:
-            out = "BENCH_multivariate.json"
-    try:
-        report = bench(
-            length=length, count=count, window=args.window,
-            workers=args.workers, repeats=repeats, seed=args.seed,
-            **extra,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.warm:
-        print(format_executor_report(report))
-    else:
-        print(format_report(report))
-    if out != "-":
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"  wrote {out}")
-    parity = report["parity"]
-    ok = parity["distances_identical"] and parity["cells_identical"]
-    if args.warm and args.min_warm_speedup is not None:
-        speedup = report["warm_python_speedup_over_serial"]
-        if speedup < args.min_warm_speedup:
-            print(
-                f"error: warm python_workers speedup x{speedup:.2f} "
-                f"below required x{args.min_warm_speedup:.2f} "
-                f"(cpu_count={report['cpu_count']})",
-                file=sys.stderr,
-            )
-            return 1
-    if args.warm and args.min_warm_numpy_speedup is not None:
-        speedup = report["warm_numpy_speedup_over_numpy_serial"]
-        if speedup < args.min_warm_numpy_speedup:
-            print(
-                f"error: warm numpy_workers speedup x{speedup:.2f} "
-                f"below required x{args.min_warm_numpy_speedup:.2f} "
-                f"(cpu_count={report['cpu_count']})",
-                file=sys.stderr,
-            )
-            return 1
-    return 0 if ok else 1
-
-
 def cmd_trace(args) -> int:
     import json
 
@@ -526,8 +349,6 @@ def cmd_index(args) -> int:
     from .index import (
         IndexMismatchError,
         build_index,
-        format_index_report,
-        index_benchmark,
         load_index,
         save_index,
     )
@@ -563,53 +384,14 @@ def cmd_index(args) -> int:
         ))
         return 0
 
-    if args.index_command == "stat":
-        try:
-            index = load_index(args.path)
-        except (OSError, IndexMismatchError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps(index.describe(), indent=2))
-        return 0
-
-    # args.index_command == "bench"
-    from .runtime import Runtime
-
-    runtime = Runtime(backend=args.backend) if args.backend else None
-    report = index_benchmark(
-        n_datasets=args.n_datasets, per_class=args.per_class,
-        window=args.window, seed=args.seed, runtime=runtime,
-    )
-    for line in format_index_report(report):
-        print(line)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"  wrote {args.out}")
-    return 0 if report["agree"] and report["improved_fewer_dtw_calls"] else 1
-
-
-def cmd_rle(args) -> int:
-    import json
-
-    from .core.rle_bench import format_rle_report, rle_benchmark
-    from .runtime import Runtime
-
-    runtime = Runtime(backend=args.backend) if args.backend else None
-    report = rle_benchmark(
-        length=args.length, n_pairs=args.n_pairs,
-        repeats=args.repeats, seed=args.seed,
-        runtime=runtime,
-    )
-    for line in format_rle_report(report):
-        print(line)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"  wrote {args.out}")
-    return 0 if report["passed"] else 1
+    # args.index_command == "stat"
+    try:
+        index = load_index(args.path)
+    except (OSError, IndexMismatchError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(json.dumps(index.describe(), indent=2))
+    return 0
 
 
 def cmd_verdicts() -> int:
@@ -656,16 +438,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_verdicts()
     if args.command == "batch":
         return cmd_batch(args)
-    if args.command == "kernels":
-        return cmd_kernels(args)
     if args.command == "trace":
         return cmd_trace(args)
     if args.command == "runtime":
         return cmd_runtime(args)
     if args.command == "index":
         return cmd_index(args)
-    if args.command == "rle":
-        return cmd_rle(args)
     if args.command == "serve":
         return cmd_serve(args)
     raise AssertionError(f"unhandled command {args.command!r}")

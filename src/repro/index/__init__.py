@@ -10,9 +10,7 @@ See :mod:`repro.index.dataset_index` for the design.  Public surface:
 * :class:`DatasetIndex.searcher` -- the query driver consumers use
   through the ``index=`` argument of ``nearest_neighbor``,
   ``subsequence_search``, the classifiers, ``find_discord`` and
-  ``find_motif``;
-* :func:`index_benchmark` -- the pruning-power report behind
-  ``BENCH_index.json``.
+  ``find_motif``.
 
 The paper harness (:mod:`repro.timing`, :mod:`repro.experiments`) is
 deliberately index-free -- the source-scan tests enforce it -- so the
@@ -20,7 +18,6 @@ reproduced numbers keep measuring the per-query machinery the paper
 describes.
 """
 
-from .bench import format_index_report, index_benchmark
 from .dataset_index import (
     DatasetIndex,
     IndexMismatchError,
@@ -37,8 +34,6 @@ __all__ = [
     "IndexSearcher",
     "build_index",
     "build_stream_index",
-    "format_index_report",
-    "index_benchmark",
     "load_index",
     "save_index",
 ]

@@ -296,8 +296,6 @@ class DatasetIndex:
     def searcher(
         self,
         runtime: Optional[Runtime] = None,
-        use_improved: bool = True,
-        best_first: bool = True,
         share_exact: bool = False,
     ):
         """An :class:`~repro.index.search.IndexSearcher` over this
@@ -305,8 +303,7 @@ class DatasetIndex:
         from .search import IndexSearcher
 
         return IndexSearcher(
-            self, runtime=runtime, use_improved=use_improved,
-            best_first=best_first, share_exact=share_exact,
+            self, runtime=runtime, share_exact=share_exact,
         )
 
     def describe(self) -> dict:

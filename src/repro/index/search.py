@@ -4,7 +4,7 @@
 precomputed artifacts to the :class:`~repro.lowerbounds.cascade.
 CascadeBatch` cascade: candidate envelopes are served from the index
 instead of rebuilt, every query scans candidates best-first by their
-cheapest bound, the LB_Improved stage is on by default, and self-join
+cheapest bound, the LB_Improved stage always runs, and self-join
 workloads (LOOCV, discords, motifs) can share exact distances across
 queries.  All of it is lossless -- the neighbour and distance returned
 are bit-identical to the index-free scan (see the cascade module's
@@ -43,31 +43,27 @@ class IndexSearcher:
         process default, resolved *now*).  Searches are inherently
         sequential (best-so-far pruning), so only the backend
         matters; the cascade pins it at construction.
-    use_improved:
-        Run the LB_Improved stage (default on: with envelopes
-        precomputed, the second Lemire pass is cheap relative to the
-        DPs it prunes).
-    best_first:
-        Scan candidates cheapest-bound-first (lossless; default on).
     share_exact:
         Keep a symmetric exact-distance cache across self-join
         queries (callers must then pass ``query_index``).
+
+    The LB_Improved stage and the best-first scan are always on: with
+    envelopes precomputed, the second Lemire pass is cheap relative to
+    the DPs it prunes, and both are lossless.
     """
 
     def __init__(
         self,
         index,
         runtime: Optional[Runtime] = None,
-        use_improved: bool = True,
-        best_first: bool = True,
         share_exact: bool = False,
     ):
         self.index = index
         self.runtime = Runtime.resolve(runtime).serial()
         self._batch = CascadeBatch(
             index.candidate_series(), index.band,
-            use_improved=use_improved,
-            best_first=best_first,
+            use_improved=True,
+            best_first=True,
             share_exact=share_exact,
             runtime=self.runtime,
             candidate_envelopes=index.candidate_envelopes(),

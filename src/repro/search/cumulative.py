@@ -84,7 +84,9 @@ def cdtw_cumulative_abandon(
     band:
         Sakoe-Chiba half-width in cells.
     threshold:
-        The best-so-far to beat.
+        The best-so-far to beat.  A pair whose completed distance is
+        at most ``threshold`` is never abandoned; one a few ulps above
+        it may complete instead (see the rounding allowance below).
     y_envelope:
         Precomputed band-``band`` envelope of ``y`` (built if absent;
         pass it when scanning many ``x`` against one ``y``).
@@ -106,9 +108,23 @@ def cdtw_cumulative_abandon(
     _obs.incr("lb.suffix_builds")
     suffix = suffix_gap_bounds(x, env, squared=squared)
     window = Window.band(len(x), len(y), band)
+    # Rounding allowance.  In exact arithmetic min(row i) + suffix[i]
+    # never exceeds the final distance, but the floor adds a forward
+    # prefix to a *backward* suffix sum, so in floating point it can
+    # round a few ulps above the completed DP's own left-to-right sum.
+    # Every term is non-negative, so each rounded addition lies within
+    # a factor 1 +- u of the exact one (u = 2**-53).  The floor rounds
+    # at most len(x) times on its way up (suffix sum, then the final
+    # add); the completed distance rounds once per remaining path cell
+    # on its way down, at most len(x) + len(y) times.  The floor thus
+    # exceeds the completed distance by a factor below
+    # 1 + (2 * len(x) + len(y)) * u + O(u**2), inside the allowance
+    # 1 + 2 * (len(x) + len(y)) * u used here: a pair whose distance
+    # is at most ``threshold`` is never abandoned.
+    slack = threshold * (len(x) + len(y)) * 2.0 ** -52
     return dp_over_window(
         x, y, window,
         cost="squared" if squared else "abs",
-        abandon_above=threshold,
+        abandon_above=threshold + slack,
         suffix_bound=suffix,
     )

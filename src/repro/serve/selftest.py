@@ -14,7 +14,8 @@ the micro-batcher, and verifies the serving layer's whole contract:
    repeated identical query is served from the result cache with zero
    DP work;
 4. **Batching** -- the burst actually coalesced (at least one
-   executed batch holds several requests);
+   executed batch holds several requests), and the three index-off
+   ``1nn`` requests were fused into one batch job;
 5. **Latency surface** -- ``p50_latency_ms``/``p99_latency_ms`` are
    present and sane;
 6. **Hygiene** -- no ``/dev/shm`` segment survives service shutdown.
@@ -196,7 +197,9 @@ def run_self_test(
     fused = [r for r in responses if r.id and r.id.startswith("nn-raw")]
     check(
         "same-dataset 1nn requests fused into one batch job",
-        all(r.ok and r.telemetry.batched_with >= 2 for r in fused),
+        all(r.ok for r in fused)
+        and stats.coalesced_requests == len(fused),
+        f"coalesced={stats.coalesced_requests} of {len(fused)}",
     )
 
     # -- latency surface ---------------------------------------------------

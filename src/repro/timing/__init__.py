@@ -6,7 +6,6 @@ from .cells import (
     crossover_length,
     fastdtw_cell_model,
 )
-from .kernel_bench import kernel_benchmark
 from .runner import (
     PINNED_BACKEND,
     BatchTimingResult,
@@ -26,7 +25,6 @@ __all__ = [
     "SweepPoint",
     "Timing",
     "batch_pairwise_experiment",
-    "kernel_benchmark",
     "cdtw_cell_model",
     "crossover_band",
     "crossover_length",

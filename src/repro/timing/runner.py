@@ -149,10 +149,10 @@ def batch_pairwise_experiment(
     with different worker counts measure the same computation.
 
     ``backend`` exists only so the pin is explicit at the call site:
-    anything other than :data:`PINNED_BACKEND` raises.  Benchmark the
-    vectorised backends with ``python -m repro kernels``
-    (:mod:`repro.timing.kernel_bench`), which is not a
-    paper-reproduction artefact.
+    anything other than :data:`PINNED_BACKEND` raises.  Time the
+    vectorised backends outside the paper harness, e.g. with
+    :func:`repro.batch.batch_distances` under an explicit
+    :class:`~repro.runtime.Runtime`.
     """
     from ..batch.engine import all_pairs, batch_distances
 
@@ -160,8 +160,8 @@ def batch_pairwise_experiment(
         raise ValueError(
             f"the paper timing harness is pinned to backend="
             f"{PINNED_BACKEND!r} ('same language, same hardware'); "
-            f"got {backend!r} -- use repro.timing.kernel_bench for "
-            "cross-backend numbers"
+            f"got {backend!r} -- time other backends outside the "
+            "paper harness (repro.batch.batch_distances under a Runtime)"
         )
     if len(series) < 2:
         raise ValueError("need at least two series")

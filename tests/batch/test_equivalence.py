@@ -185,6 +185,31 @@ class TestStartMethodAndExecutorColumns:
                 assert result.distances == serial.distances
                 assert result.cells == serial.cells
 
+    @pytest.mark.parametrize("backend, count, length", [
+        ("python", 6, 128), ("numpy", 8, 1000),
+    ], ids=["python-6x128", "numpy-8x1000"])
+    def test_timed_gate_workloads_identical(self, backend, count, length):
+        # the random walks the warm-executor wall-clock gates time: a
+        # speed-up only counts if the warm pool returns the serial
+        # answers on the very same workload
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        from repro.batch import BatchExecutor
+        from repro.datasets.random_walk import random_walks
+
+        series = random_walks(count, length, seed=0)
+        serial = batch_distances(
+            series, measure="cdtw", window=0.1, backend=backend
+        )
+        with BatchExecutor(workers=2, cap=None) as exe:
+            for _ in range(2):  # cold then warm
+                result = batch_distances(
+                    series, measure="cdtw", window=0.1,
+                    backend=backend, executor=exe,
+                )
+                assert result.distances == serial.distances
+                assert result.cells_per_pair == serial.cells_per_pair
+
 
 class TestTieBreaking:
     """First-wins tie-breaks survive parallel execution."""

@@ -129,6 +129,19 @@ class TestNdBatchResults:
         assert got.distances == reference.distances
         assert got.cells_per_pair == reference.cells_per_pair
 
+    @pytest.mark.parametrize("backend", ("python", "numpy"))
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_three_channel_grid_bit_identical(self, backend, workers):
+        # the accelerometer shape: 3 channels, cDTW_D at window 0.1
+        series = [make_vectors(40, 3, s) for s in range(6)]
+        reference = batch_distances(series, measure="cdtw_d", window=0.1)
+        got = batch_distances(
+            series, measure="cdtw_d", window=0.1,
+            backend=backend, workers=workers,
+        )
+        assert got.distances == reference.distances
+        assert got.cells_per_pair == reference.cells_per_pair
+
 
 def _ship(series):
     payload, lengths, fp = pack_dataset(series)

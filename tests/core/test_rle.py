@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.core.rle import (
     rle_dtw,
 )
 from repro.core.rle_numpy import rle_block_numpy
+from repro.datasets.power import midnight_hour_pair
 from repro.obs import RunTrace
 
 BACKENDS = ("python", "numpy")
@@ -45,6 +47,22 @@ def step_series(rng, length, grid=GRID, runs=(1, 7)):
         value = rng.randrange(-512, 513) * grid
         out.extend([value] * rng.randrange(*runs))
     return out[:length]
+
+
+#: the midnight-hour power sweep's dyadic steps, fine grid (runs of
+#: length ~1) to coarse grid (compression ratio 12.5)
+POWER_STEPS = (2.0 ** -8, 2.0 ** -6, 2.0 ** -4, 2.0 ** -2)
+
+
+@lru_cache(maxsize=None)
+def power_pair(quantize):
+    """The quantised midnight-hour traces at length 300 (peaks scaled
+    from the length-450 defaults)."""
+    pair = midnight_hour_pair(
+        length=300, peaks_a=(40, 113, 173), peaks_b=(60, 93, 275),
+        quantize=quantize,
+    )
+    return pair.night_a, pair.night_b
 
 
 class TestEncodeDecode:
@@ -170,6 +188,13 @@ class TestBitExactAgainstDense:
             == dtw(x, y, cost=cost).distance
         )
 
+    @pytest.mark.parametrize("quantize", POWER_STEPS)
+    def test_quantized_power_pair_agrees(self, quantize):
+        x, y = power_pair(quantize)
+        assert RleSeries.encode(x).exactness_grid()
+        assert RleSeries.encode(y).exactness_grid()
+        assert rle_dtw(x, y).distance == dtw(x, y).distance
+
     def test_constant_vs_constant(self):
         assert rle_dtw([2.0] * 30, [2.0] * 50).distance == 0.0
         dense = dtw([1.0] * 12, [3.0] * 9)
@@ -206,6 +231,22 @@ class TestCellAccounting:
         assert rle.distance == dense.distance
         assert rle.cells == 2 * dense.cells
 
+    @pytest.mark.parametrize("quantize", POWER_STEPS)
+    def test_quantized_power_pair_cells(self, quantize):
+        # k*m + l*n at every level, and never past twice the dense
+        # lattice even where runs are ~1 sample long
+        x, y = power_pair(quantize)
+        rx, ry = RleSeries.encode(x), RleSeries.encode(y)
+        cells = rle_dtw(x, y).cells
+        assert cells == rx.run_count * ry.n + ry.run_count * rx.n
+        assert 0 < cells <= 2 * dtw(x, y).cells
+
+    def test_coarse_power_pair_computes_fewer_cells_than_dense(self):
+        # where rle_dtw's wall-clock win comes from: at compression
+        # ratio 12.5 the block DP touches under a fifth of the lattice
+        x, y = power_pair(POWER_STEPS[-1])
+        assert 5 * rle_dtw(x, y).cells < dtw(x, y).cells
+
 
 class TestPaths:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -226,6 +267,13 @@ class TestPaths:
         rle = rle_dtw(x, y, return_path=True)
         assert rle.distance == dense.distance
         assert rle.path.cost(x, y) == dense.path.cost(x, y)
+
+    @pytest.mark.parametrize("quantize", POWER_STEPS)
+    def test_quantized_power_pair_path_is_optimal(self, quantize):
+        x, y = power_pair(quantize)
+        result = rle_dtw(x, y, return_path=True)
+        assert result.path.cost(x, y) == result.distance
+        assert result.distance == dtw(x, y).distance
 
 
 class TestBackendParity:
@@ -257,6 +305,13 @@ class TestBackendParity:
             return out[:length]
 
         x, y = rough_steps(33), rough_steps(29)
+        py = rle_dtw(x, y, backend="python")
+        np_ = rle_dtw(x, y, backend="numpy")
+        assert py.distance == np_.distance
+        assert py.cells == np_.cells
+
+    def test_measures_identical_on_the_coarse_power_pair(self):
+        x, y = power_pair(POWER_STEPS[-1])
         py = rle_dtw(x, y, backend="python")
         np_ = rle_dtw(x, y, backend="numpy")
         assert py.distance == np_.distance

@@ -9,10 +9,14 @@ stage it counts is bit-identical by construction).
 """
 
 from dataclasses import astuple
+from functools import lru_cache
+from math import ceil
 
 import pytest
 
+from repro.datasets.synthetic_archive import synthetic_archive
 from repro.index import build_index, build_stream_index
+from repro.lowerbounds.cascade import CascadeBatch, CascadeStats
 from repro.obs import RunTrace
 from repro.runtime import Runtime
 from repro.search.nn_search import nearest_neighbor
@@ -176,3 +180,116 @@ class TestNnStatsParity:
             s.pruned_total() + s.full_dtw + s.reused_exact
             == s.candidates
         )
+
+
+LOOCV_SCANS = ("unindexed", "indexed_keogh", "indexed_improved")
+
+
+@lru_cache(maxsize=None)
+def _pruning_loocv(backend):
+    """Neighbours and summed cascade stats of three scans over the
+    synthetic archive's leave-one-out 1-NN."""
+    rt = Runtime(backend=backend)
+    totals = {label: CascadeStats() for label in LOOCV_SCANS}
+    winners = {label: [] for label in LOOCV_SCANS}
+    for entry in synthetic_archive(
+        n_datasets=3, length_range=(40, 72), classes=3, per_class=5,
+        seed=0,
+    ):
+        series = [list(s) for s in entry.dataset.series]
+        band = ceil(0.1 * len(series[0]))
+        idx = build_index(series, band, runtime=rt)
+        scans = {
+            "unindexed": CascadeBatch(
+                series, band, use_improved=False, best_first=False,
+                runtime=rt,
+            ).nearest,
+            "indexed_keogh": CascadeBatch(
+                idx.candidate_series(), idx.band, use_improved=False,
+                runtime=rt, candidate_envelopes=idx.candidate_envelopes(),
+            ).nearest,
+            "indexed_improved": idx.searcher(runtime=rt).nearest,
+        }
+        for label, nearest in scans.items():
+            for i, q in enumerate(series):
+                hit = nearest(q, query_index=i, exclude=i)
+                winners[label].append((hit.index, hit.distance))
+                totals[label] = CascadeStats(*(
+                    a + b for a, b in zip(
+                        astuple(totals[label]), astuple(hit.stats)
+                    )
+                ))
+    return totals, winners
+
+
+def _dtw_calls(stats):
+    """Completed plus abandoned DPs."""
+    return stats.full_dtw + stats.abandoned_dtw
+
+
+@pytest.fixture(scope="module", params=["python", "numpy"])
+def pruning(request):
+    if request.param == "numpy":
+        pytest.importorskip("numpy")
+    return _pruning_loocv(request.param)
+
+
+class TestPruningPower:
+    """What the index buys on the synthetic archive's LOOCV 1-NN (3
+    datasets, length 40-72, 3 classes x 5 series, window 0.1, seed 0).
+
+    Three scans must return the same neighbour for every query: the
+    index-free in-order scan, the index's envelopes scanned best-first
+    with LB_Keogh alone, and the searcher (LB_Improved on top).  Each
+    step must make strictly fewer DTW calls than the one before; the
+    counts are pinned exactly.
+    """
+
+    def test_each_stage_prunes_more_with_the_same_answers(self, pruning):
+        totals, winners = pruning
+        assert len(winners["unindexed"]) == 45
+        assert winners["indexed_keogh"] == winners["unindexed"]
+        assert winners["indexed_improved"] == winners["unindexed"]
+        calls = [_dtw_calls(totals[label]) for label in LOOCV_SCANS]
+        assert calls[0] > calls[1] > calls[2]
+
+    def test_dtw_calls_are_pinned(self, pruning):
+        totals, _ = pruning
+        assert {
+            label: _dtw_calls(s) for label, s in totals.items()
+        } == {
+            "unindexed": 343, "indexed_keogh": 240, "indexed_improved": 224,
+        }
+
+    def test_each_stage_evaluates_fewer_cells(self, pruning):
+        totals, _ = pruning
+        cells = [totals[label].cells for label in LOOCV_SCANS]
+        assert cells[0] > cells[1] > cells[2]
+
+    def test_every_candidate_is_accounted_for(self, pruning):
+        # 45 queries, each against the 14 other series of its dataset
+        totals, _ = pruning
+        for s in totals.values():
+            assert s.candidates == 45 * 14
+            assert s.pruned_total() + s.full_dtw + s.reused_exact == (
+                s.candidates
+            )
+
+    def test_lb_improved_runs_only_in_the_searcher(self, pruning):
+        totals, _ = pruning
+        assert totals["unindexed"].pruned_improved == 0
+        assert totals["indexed_keogh"].pruned_improved == 0
+        assert totals["indexed_improved"].pruned_improved > 0
+
+    def test_lb_improved_leaves_the_earlier_stages_alone(self, pruning):
+        # LB_Improved sits after LB_Kim and LB_Keogh: adding it changes
+        # what reaches the DP, never what the cheaper stages see
+        totals, _ = pruning
+        keogh, improved = totals["indexed_keogh"], totals["indexed_improved"]
+        assert improved.pruned_kim == keogh.pruned_kim
+        assert improved.pruned_keogh == keogh.pruned_keogh
+        assert improved.full_dtw == keogh.full_dtw
+
+    def test_backends_agree(self):
+        pytest.importorskip("numpy")
+        assert _pruning_loocv("numpy") == _pruning_loocv("python")

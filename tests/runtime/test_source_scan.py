@@ -41,7 +41,13 @@ CONSUMER_MODULES = (
     "motifs/discovery.py",
     "index/dataset_index.py",
     "index/search.py",
-    "index/bench.py",
+    # modules that build a Runtime and hand it down: the paper
+    # harness (which pins it), the repeated-use experiment, the
+    # traced workloads and the serve self-test
+    "timing/runner.py",
+    "experiments/repeated_use.py",
+    "obs/workloads.py",
+    "serve/selftest.py",
 )
 
 # modules that accept an ahead-of-time index as an opaque ``index=``

@@ -3,13 +3,19 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cdtw import cdtw
+from repro.index import build_index
 from repro.lowerbounds.envelope import envelope
+from repro.preprocess.normalize import znorm
+from repro.runtime import Runtime
 from repro.search.cumulative import (
     cdtw_cumulative_abandon,
     suffix_gap_bounds,
 )
+from repro.search.nn_search import nearest_neighbor
+from repro.search.subsequence import subsequence_search
 from tests.conftest import make_series
 
 
@@ -89,6 +95,44 @@ class TestCumulativeAbandon:
             if r.abandoned:
                 assert exact > exact * 0.8 or exact == 0.0
 
+    def test_rounding_never_abandons_a_pair_within_threshold(self):
+        # min(row) + suffix rounds above this pair's completed distance
+        # (5.999999999999997); a threshold at or one ulp above that
+        # distance must still let the DP complete
+        x = znorm([2.093058495226801, -2.5, 0.0, 0.0, -1.0, 0.0])
+        y = [0.0] * 6
+        exact = cdtw(x, y, band=0).distance
+        assert exact == 5.999999999999997
+        for threshold in (exact, math.nextafter(exact, math.inf)):
+            r = cdtw_cumulative_abandon(x, y, band=0, threshold=threshold)
+            assert not r.abandoned
+            assert r.distance == exact
+
+    @pytest.mark.parametrize("squared", [True, False],
+                             ids=["squared", "abs"])
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_never_abandons_at_the_completed_distance(self, squared,
+                                                      data):
+        # the rounding allowance's contract: a threshold at (or one ulp
+        # above) the completed distance lets the DP finish, exactly
+        n = data.draw(st.integers(1, 12), label="n")
+        values = st.floats(-5.0, 5.0, allow_nan=False)
+        x = data.draw(st.lists(values, min_size=n, max_size=n), label="x")
+        y = data.draw(st.lists(values, min_size=n, max_size=n), label="y")
+        band = data.draw(st.integers(0, n), label="band")
+        env = envelope(y, data.draw(st.integers(band, n), label="env"))
+        exact = cdtw(
+            x, y, band=band, cost="squared" if squared else "abs"
+        ).distance
+        for threshold in (exact, math.nextafter(exact, math.inf)):
+            r = cdtw_cumulative_abandon(
+                x, y, band=band, threshold=threshold, y_envelope=env,
+                squared=squared,
+            )
+            assert not r.abandoned
+            assert r.distance == exact
+
     def test_precomputed_envelope_accepted(self):
         x = make_series(15, 10)
         y = make_series(15, 11)
@@ -155,3 +199,43 @@ class TestCascadeWithCumulative:
         ).nearest(query)
         assert with_cum.stats.cells <= without.stats.cells * 1.5
         assert with_cum.stats.pruned_total() >= 1
+
+
+#: two z-normalised windows whose band-0 distances to a flat query
+#: differ in the last ulp: 5.999999999999998 then 5.999999999999997.
+#: With the first as best-so-far, min(row) + suffix for the second
+#: once rounded above it and the closer window was abandoned.
+TIE_STREAM = [0.0, 2.093058495226801, -2.5, 0.0, 0.0, -1.0, 0.0]
+TIE_QUERY = [0.0] * 6
+TIE_CANDIDATES = [znorm(TIE_STREAM[i:i + 6]) for i in range(2)]
+
+
+class TestOneUlpTie:
+    """Every consumer of the cumulative bound returns the window that
+    is closer by one ulp."""
+
+    def test_the_distances_differ_by_one_ulp(self):
+        far, near = (
+            cdtw(TIE_QUERY, c, band=0).distance for c in TIE_CANDIDATES
+        )
+        assert near == 5.999999999999997
+        assert math.nextafter(near, math.inf) == far
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_nearest_neighbor(self, backend):
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        hit = nearest_neighbor(
+            TIE_QUERY, TIE_CANDIDATES, band=0,
+            runtime=Runtime(backend=backend),
+        )
+        assert (hit.index, hit.distance) == (1, 5.999999999999997)
+
+    def test_index_searcher(self):
+        hit = build_index(TIE_CANDIDATES, 0).searcher().nearest(TIE_QUERY)
+        assert (hit.index, hit.distance) == (1, 5.999999999999997)
+
+    def test_subsequence_search(self):
+        match = subsequence_search(TIE_QUERY, TIE_STREAM, band=0, step=1)
+        assert (match.start, match.distance) == (1, 5.999999999999997)
+        assert match.stats.abandoned_dtw == 0

@@ -244,6 +244,20 @@ class TestSelfTest:
         assert "checks passed" in out
         assert "FAIL" not in out
 
+    def test_self_test_fails_without_fusion(self, capsys, monkeypatch):
+        # any batch of two or more requests once satisfied the fusion
+        # check; with fusion switched off it must fail
+        from repro.serve import run_self_test
+        from repro.serve.service import QueryService
+
+        monkeypatch.setattr(
+            QueryService, "_coalesce_groups", lambda self, parsed: []
+        )
+        assert run_self_test(verbose=True, workers=2) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] same-dataset 1nn requests fused" in out
+        assert "coalesced=0 of 3" in out
+
 
 class TestCli:
     def test_parser_accepts_serve(self):

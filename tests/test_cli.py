@@ -1,5 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import json
+from math import ceil
+
 import pytest
 
 from repro.cli import build_parser, cmd_advise, cmd_list, cmd_run, main
@@ -70,106 +73,73 @@ class TestBatch:
         assert "--workers" in capsys.readouterr().err
 
 
-class TestKernels:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["kernels"])
-        assert args.window == 0.1
-        assert args.workers == 2
-        assert args.out is None  # resolved per-mode in cmd_kernels
-        assert args.smoke is False
-        assert args.warm is False
-        assert args.min_warm_speedup is None
+class TestIndex:
+    """``index build`` then ``index stat``: the round trip the CI
+    index job runs."""
 
-    def test_smoke_run_writes_report(self, capsys, tmp_path):
-        out = tmp_path / "bench.json"
+    def test_build_parser_defaults(self):
+        args = build_parser().parse_args(
+            ["index", "build", "--out", "x.idx"]
+        )
+        assert (args.dataset, args.n_datasets, args.window, args.seed) == (
+            0, 3, 0.1, 0,
+        )
+
+    @pytest.mark.parametrize("dataset", [0, 1, 2])
+    def test_build_then_stat_round_trips(self, dataset, capsys, tmp_path):
+        from repro.batch.shm import pack_dataset
+        from repro.datasets.synthetic_archive import synthetic_archive
+
+        out = tmp_path / "ds.idx"
         assert main([
-            "kernels", "--smoke", "--workers", "1", "--out", str(out),
+            "index", "build", "--out", str(out),
+            "--dataset", str(dataset),
         ]) == 0
-        stdout = capsys.readouterr().out
-        assert "numpy_serial" in stdout
-        assert "bit-identical" in stdout
-        import json
+        built = json.loads(capsys.readouterr().out)
+        series = synthetic_archive(n_datasets=3, seed=0)[dataset].dataset
+        assert built["dataset"] == series.name
+        assert built["count"] == len(series.series)
+        assert built["band"] == ceil(0.1 * built["length"])
+        assert built["source_fingerprint"] == pack_dataset(
+            [list(s) for s in series.series]
+        )[2]
+        assert main(["index", "stat", str(out)]) == 0
+        stat = json.loads(capsys.readouterr().out)
+        for key in ("count", "length", "band", "source_fingerprint"):
+            assert stat[key] == built[key]
 
-        report = json.loads(out.read_text())
-        assert report["parity"]["distances_identical"] is True
-        assert report["parity"]["cells_identical"] is True
-        assert "numpy_serial" in report["speedups_over_python_serial"]
-
-    def test_dash_out_skips_writing(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_build_rejects_out_of_range_dataset(self, capsys, tmp_path):
+        out = tmp_path / "ds.idx"
         assert main([
-            "kernels", "--smoke", "--workers", "1", "--out", "-",
-        ]) == 0
-        assert "wrote" not in capsys.readouterr().out
-        assert not (tmp_path / "BENCH_kernels.json").exists()
+            "index", "build", "--out", str(out), "--dataset", "3",
+        ]) == 2
+        assert "--dataset must be in [0, 2]" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_bad_workload_exits_2(self, capsys):
-        assert main(["kernels", "--smoke", "--count", "0", "--out", "-"]) == 2
+    def test_stat_missing_file_exits_2(self, capsys, tmp_path):
+        assert main(["index", "stat", str(tmp_path / "none.idx")]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_warm_smoke_writes_batch_report(self, capsys, tmp_path):
-        out = tmp_path / "bench_batch.json"
-        assert main([
-            "kernels", "--warm", "--smoke", "--workers", "2",
-            "--out", str(out),
-        ]) == 0
-        stdout = capsys.readouterr().out
-        assert "python_workers_warm" in stdout
-        assert "bit-identical" in stdout
-        import json
+    def test_stat_rejects_a_tampered_payload(self, capsys, tmp_path):
+        out = tmp_path / "ds.idx"
+        assert main(["index", "build", "--out", str(out)]) == 0
+        blob = bytearray(out.read_bytes())
+        blob[-1] ^= 0xFF
+        out.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["index", "stat", str(out)]) == 2
+        assert "fingerprint mismatch" in capsys.readouterr().err
 
-        report = json.loads(out.read_text())
-        assert report["cpu_count"] >= 1
-        assert report["parity"]["distances_identical"] is True
-        assert report["parity"]["cells_identical"] is True
-        for label in (
-            "python_serial", "python_workers_cold", "python_workers_warm",
-            "numpy_serial", "numpy_workers_cold", "numpy_workers_warm",
-        ):
-            assert label in report["timings"]
+    def test_stat_rejects_a_foreign_file(self, capsys, tmp_path):
+        out = tmp_path / "notes.txt"
+        out.write_text("not an index\n")
+        assert main(["index", "stat", str(out)]) == 2
+        assert "not a repro.index file" in capsys.readouterr().err
 
-    def test_warm_default_out_is_batch_json(self, capsys, tmp_path,
-                                            monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["kernels", "--warm", "--smoke", "--workers", "2"]) == 0
-        assert (tmp_path / "BENCH_batch.json").exists()
-        assert not (tmp_path / "BENCH_kernels.json").exists()
-
-    def test_warm_speedup_gate_fails_when_unmet(self, capsys):
-        # an absurd threshold no machine meets: the gate must trip
-        assert main([
-            "kernels", "--warm", "--smoke", "--workers", "2",
-            "--out", "-", "--min-warm-speedup", "1000",
-        ]) == 1
-        assert "below required" in capsys.readouterr().err
-
-    def test_nd_default_out_is_multivariate_json(self, capsys, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main([
-            "kernels", "--nd", "--smoke", "--workers", "1",
-            "--count", "3", "--length", "16", "--dims", "2",
-        ]) == 0
-        assert "bit-identical" in capsys.readouterr().out
-        assert not (tmp_path / "BENCH_kernels.json").exists()
-        import json
-
-        report = json.loads(
-            (tmp_path / "BENCH_multivariate.json").read_text()
-        )
-        assert report["workload"]["dims"] == 2
-        assert report["cpu_count"] >= 1
-        assert report["parity"]["distances_identical"] is True
-
-    def test_nd_bad_dims_exits_2(self, capsys):
-        assert main([
-            "kernels", "--nd", "--smoke", "--dims", "1", "--out", "-",
-        ]) == 2
-        assert "dims" in capsys.readouterr().err
-
-    def test_warm_and_nd_are_exclusive(self, capsys):
-        assert main(["kernels", "--warm", "--nd", "--out", "-"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+    def test_requires_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["index"])
+        assert exc.value.code == 2
 
 
 class TestAdvise:
@@ -254,6 +224,19 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["kernels"], ["rle"], ["rle", "bench"], ["index", "bench"]],
+        ids=["kernels", "rle", "rle-bench", "index-bench"],
+    )
+    def test_retired_bench_commands_exit_2(self, argv, capsys):
+        # speed gates live in the test suite and the timed CI checks,
+        # not in bench subcommands
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_module_entry_point_importable(self):
         import repro.__main__  # noqa: F401
