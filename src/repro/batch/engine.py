@@ -56,6 +56,7 @@ from ..core.measures import (
     measure_fn,
     split_result,
 )
+from ..core.window import Window
 from ..lowerbounds.lb_keogh import lb_keogh
 from ..obs import trace as _obs
 from ..runtime import Runtime
@@ -377,18 +378,6 @@ def _compute_pair(ctx: _WorkerContext, i: int, j: int):
     return split_result(ctx.fn(x, y))
 
 
-def _spec_window(spec: BatchSpec, n: int, m: int):
-    from ..core.kernels import banded_window, fraction_window, full_window
-
-    if spec.measure in ("dtw", "dtw_d"):
-        return full_window(n, m)
-    if (spec.window is None) == (spec.band is None):
-        raise ValueError("specify exactly one of window= or band=")
-    if spec.window is not None:
-        return fraction_window(n, m, spec.window)
-    return banded_window(n, m, spec.band)
-
-
 def _compute_chunk_vectorized(ctx: _WorkerContext, chunk: Sequence[Pair]):
     """One ``dtw_chunk`` kernel call per shape group in the chunk.
 
@@ -417,7 +406,11 @@ def _compute_chunk_vectorized(ctx: _WorkerContext, chunk: Sequence[Pair]):
     _obs.incr("chunk.groups", len(groups))
     out = [None] * len(chunk)
     for group in groups:
-        win = _spec_window(spec, group.n, group.m)
+        # the group's band is chunk_band's, i.e. Window.from_fraction's
+        win = (
+            Window.full(group.n, group.m) if group.band is None
+            else Window.band(group.n, group.m, group.band)
+        )
         cells = win.cell_count()
         xs, ys, pad = arts.stack_pairs(group.pairs, group.n, group.m)
         distances = kernels.dtw_chunk(

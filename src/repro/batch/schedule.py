@@ -25,9 +25,10 @@ costs do.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from ..core.window import band_from_fraction
 
 Pair = Tuple[int, int]
 
@@ -166,8 +167,9 @@ def chunk_band(
 
     Mirrors the geometry rules of the DP entry points exactly:
     ``dtw`` means no constraint (``None``), a fractional ``window``
-    resolves to ``ceil(window * max(n, m))`` (the
-    :meth:`~repro.core.window.Window.from_fraction` convention), an
+    resolves to :func:`~repro.core.window.band_from_fraction` of
+    ``max(n, m)`` (the :meth:`~repro.core.window.Window.from_fraction`
+    convention), an
     absolute ``band`` is shape-independent.  Two pairs land in the
     same :class:`ChunkGroup` only when this function agrees on them,
     so every group shares one Window.
@@ -182,7 +184,7 @@ def chunk_band(
         raise ValueError("specify exactly one of window= or band=")
     if window is not None:
         frac = window
-        return lambda n, m: math.ceil(frac * max(n, m))
+        return lambda n, m: band_from_fraction(frac, max(n, m))
     return lambda n, m: band
 
 

@@ -30,6 +30,7 @@ from ..core.euclidean import euclidean
 from ..core.fastdtw import fastdtw
 from ..core.fastdtw_reference import fastdtw_reference
 from ..core.measures import MEASURES
+from ..core.window import band_from_fraction
 from ..lowerbounds.cascade import CascadeBatch
 from ..obs import trace as _obs
 from ..runtime import Runtime
@@ -188,10 +189,8 @@ class OneNearestNeighbor:
         self._labels = list(labels)
         self._cascade = None
         if self._cascaded:
-            from math import ceil
-
             n = len(series[0])
-            band = ceil(self.spec.window * n)
+            band = band_from_fraction(self.spec.window, n)
             # the index serves stored envelopes to a best-first scan
             # with LB_Improved and a shared exact-distance cache;
             # without one, the in-order scan

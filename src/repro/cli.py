@@ -354,8 +354,7 @@ def cmd_index(args) -> int:
     )
 
     if args.index_command == "build":
-        from math import ceil
-
+        from .core.window import band_from_fraction
         from .datasets.synthetic_archive import synthetic_archive
 
         entries = synthetic_archive(
@@ -368,7 +367,7 @@ def cmd_index(args) -> int:
             )
             return 2
         dataset = entries[args.dataset].dataset
-        band = ceil(args.window * dataset.length)
+        band = band_from_fraction(args.window, dataset.length)
         index = build_index([list(s) for s in dataset.series], band)
         header = save_index(index, args.out)
         print(json.dumps(

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .cost import CostLike
 from .engine import DtwResult, dp_over_window
-from .validate import ensure_univariate_pair, validate_pair
+from .validate import validate_univariate_pair
 from .window import Window
 
 
@@ -64,8 +64,7 @@ def cdtw(
     """
     if (window is None) == (band is None):
         raise ValueError("specify exactly one of window= or band=")
-    validate_pair(x, y)
-    ensure_univariate_pair(x, y, "cdtw()")
+    validate_univariate_pair(x, y, "cdtw()")
     n, m = len(x), len(y)
     if window is not None:
         win = Window.from_fraction(n, m, window)

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from .cost import CostLike
 from .engine import DtwResult, dp_over_window
-from .validate import ensure_univariate_pair, validate_pair
+from .validate import validate_univariate_pair
 from .window import Window
 
 
@@ -49,8 +49,7 @@ def dtw(
     >>> dtw([0.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0]).distance
     0.0
     """
-    validate_pair(x, y)
-    ensure_univariate_pair(x, y, "dtw()")
+    validate_univariate_pair(x, y, "dtw()")
     window = Window.full(len(x), len(y))
     return dp_over_window(
         x, y, window, cost=cost, return_path=return_path,

@@ -33,7 +33,7 @@ from .dtw import dtw
 from .engine import DtwResult, dp_over_window
 from .paa import halve
 from .path import WarpingPath
-from .validate import ensure_univariate_pair, validate_pair
+from .validate import validate_univariate_pair
 from .window import Window
 
 
@@ -127,8 +127,7 @@ def fastdtw(
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    validate_pair(x, y)
-    ensure_univariate_pair(x, y, "fastdtw()")
+    validate_univariate_pair(x, y, "fastdtw()")
     trace: Optional[List[FastDtwLevel]] = [] if keep_levels else None
     _obs.incr("fastdtw.calls")
     with _obs.span("fastdtw"):

@@ -42,10 +42,7 @@ from __future__ import annotations
 import importlib.util
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
-
-from .window import Window
 
 __all__ = [
     "KernelSet",
@@ -364,27 +361,3 @@ def stacked_kernels(
     name = resolve_backend(backend)
     return None if name == "python" else get_kernels(name)
 
-
-# -- shared window memoisation -------------------------------------------
-#
-# Consumers that dispatch per pair (kNN loops, batched matrices) build
-# the same Window over and over; construction is O(n) Python, which
-# matters once the DP itself runs at NumPy speed.
-
-
-@lru_cache(maxsize=512)
-def full_window(n: int, m: int) -> Window:
-    """Memoised :meth:`Window.full`."""
-    return Window.full(n, m)
-
-
-@lru_cache(maxsize=512)
-def banded_window(n: int, m: int, band: int) -> Window:
-    """Memoised :meth:`Window.band`."""
-    return Window.band(n, m, band)
-
-
-@lru_cache(maxsize=512)
-def fraction_window(n: int, m: int, window: float) -> Window:
-    """Memoised :meth:`Window.from_fraction`."""
-    return Window.from_fraction(n, m, window)

@@ -21,6 +21,7 @@ from .engine import DtwResult
 from .euclidean import euclidean
 from .fastdtw import fastdtw
 from .fastdtw_reference import fastdtw_reference
+from .window import Window
 
 #: The canonical registry: every pairwise measure the package compares.
 MEASURES = (
@@ -152,11 +153,8 @@ def _kernel_measure_fn(
     """The plain dtw/cdtw distance as one-pair stacked kernel calls.
 
     Mirrors :func:`repro.core.dtw.dtw` / :func:`repro.core.cdtw.cdtw`
-    exactly (same validation, same window construction); windows are
-    memoised because construction is O(n) Python, which shows once
-    the DP runs at kernel speed.
+    exactly (same validation, same memoised window constructors).
     """
-    from .kernels import banded_window, fraction_window, full_window
     from .validate import validate_pair
 
     if measure == "cdtw" and (window is None) == (band is None):
@@ -164,15 +162,21 @@ def _kernel_measure_fn(
 
     def fn(x, y):
         validate_pair(x, y)
-        n, m = len(x), len(y)
-        if measure == "dtw":
-            win = full_window(n, m)
-        elif window is not None:
-            win = fraction_window(n, m, window)
-        else:
-            win = banded_window(n, m, band)
+        win = _measure_window(measure, len(x), len(y), window, band)
         return _one_pair(kernels, x, y, win, cost)
     return fn
+
+
+def _measure_window(
+    measure: str, n: int, m: int,
+    window: Optional[float], band: Optional[int],
+) -> Window:
+    """The (memoised) lattice window a dtw/cdtw-family measure runs over."""
+    if measure in ("dtw", "dtw_d", "dtw_i"):
+        return Window.full(n, m)
+    if window is not None:
+        return Window.from_fraction(n, m, window)
+    return Window.band(n, m, band)
 
 
 def _nd_measure_fn(
@@ -195,7 +199,6 @@ def _nd_measure_fn(
     one-pair ``dtw_chunk`` call -- the sum of bit-identical terms is
     bit-identical.
     """
-    from .kernels import banded_window, fraction_window, full_window
     from .multivariate import (
         _as_vectors,
         _check_same_dim,
@@ -235,19 +238,12 @@ def _nd_measure_fn(
             return_path=return_path,
         )
 
-    def _win(n: int, m: int):
-        if measure in ("dtw_d", "dtw_i"):
-            return full_window(n, m)
-        if window is not None:
-            return fraction_window(n, m, window)
-        return banded_window(n, m, band)
-
     if measure in ("dtw_d", "cdtw_d"):
         def dependent_fn(x, y):
             vx = _as_vectors(x, "series x")
             vy = _as_vectors(y, "series y")
             _check_same_dim(vx, vy)
-            win = _win(len(vx), len(vy))
+            win = _measure_window(measure, len(vx), len(vy), window, band)
             distance = kernels.dtw_chunk((vx,), (vy,), win, cost=cost)[0]
             # named after the vector cost, as the engine names it
             return DtwResult(float(distance), None, win.cell_count(),
@@ -256,7 +252,8 @@ def _nd_measure_fn(
 
     # measure_fn never abandons, so each channel's budget is None
     def channel(cx, cy, _budget):
-        return _one_pair(kernels, cx, cy, _win(len(cx), len(cy)), cost)
+        win = _measure_window(measure, len(cx), len(cy), window, band)
+        return _one_pair(kernels, cx, cy, win, cost)
 
     return lambda x, y: independent_nd(x, y, channel, cost=cost)
 

@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .cost import CostFunction
 from .engine import DtwResult, dp_over_window
 from .fastdtw import FastDtwResult
-from .validate import series_dims, validate_series
+from .validate import validate_series
 from .window import Window
 
 Vector = Tuple[float, ...]
@@ -67,8 +67,7 @@ def _resolve_vector_cost(cost: object) -> CostFunction:
 
 
 def _as_vectors(x: Sequence[Sequence[float]], name: str) -> List[Vector]:
-    validate_series(x, name)
-    if series_dims(x, name) is None:
+    if validate_series(x, name) is None:
         raise ValueError(
             f"{name}: got a flat scalar series; multivariate series "
             "must be shaped (length, dims) -- a sequence of equal-"
@@ -241,17 +240,14 @@ def cdtw_i(
     """
     if (window is None) == (band is None):
         raise ValueError("specify exactly one of window= or band=")
-    win_cache: dict = {}
 
     def channel(cx: List[float], cy: List[float], ab) -> DtwResult:
-        key = (len(cx), len(cy))
-        win = win_cache.get(key)
-        if win is None:
-            win = win_cache[key] = (
-                Window.from_fraction(key[0], key[1], window)
-                if window is not None
-                else Window.band(key[0], key[1], band)
-            )
+        n, m = len(cx), len(cy)
+        win = (
+            Window.from_fraction(n, m, window)
+            if window is not None
+            else Window.band(n, m, band)
+        )
         return dp_over_window(
             cx, cy, win, cost=cost, return_path=return_path,
             abandon_above=ab,

@@ -12,8 +12,16 @@ samples) or **multivariate** (every sample a same-length vector --
 shape ``(length, dims)``).  :func:`series_dims` classifies a series
 under that contract, :func:`validate_series` enforces it per series
 (mixed scalar/vector samples and ragged sample widths are rejected,
-not just non-finite values), and :func:`validate_pair` additionally
-refuses to compare series of different dimensionality.
+not just non-finite values) and returns the dims, and
+:func:`validate_pair` additionally refuses to compare series of
+different dimensionality and returns the shared dims, so a scalar-only
+measure (:func:`validate_univariate_pair`) need not scan again.
+
+The common case -- a valid univariate series -- costs one C-level pass
+(``all(map(isfinite, x))``).  Only a series that fails it (a
+non-finite or non-real sample, or vector samples) runs the ordered
+per-sample checks, which name the failure exactly as before: the fast
+path decides nothing the full checks would decide differently.
 """
 
 from __future__ import annotations
@@ -68,8 +76,13 @@ def series_dims(
     return dims
 
 
-def validate_series(x: Sequence[float], name: str = "series") -> None:
+def validate_series(
+    x: Sequence[float], name: str = "series"
+) -> Optional[int]:
     """Reject empty series, shape violations and non-finite samples.
+
+    Returns the series' dims (as :func:`series_dims`): ``None`` for a
+    univariate series.
 
     Raises
     ------
@@ -77,7 +90,15 @@ def validate_series(x: Sequence[float], name: str = "series") -> None:
         With the offending index, e.g.
         ``"series y: sample 3 is not finite (nan)"``.
     """
-    series_dims(x, name)
+    # fast path: every sample a finite real scalar (a tuple or list
+    # sample makes isfinite raise).  Anything else falls through to
+    # the ordered checks below, which name the first failure.
+    try:
+        if len(x) and all(map(isfinite, x)):
+            return None
+    except (TypeError, ValueError, OverflowError):
+        pass
+    dims = series_dims(x, name)
     for i, v in enumerate(x):
         if isinstance(v, (tuple, list)):  # multivariate sample
             for k, c in enumerate(v):
@@ -90,45 +111,44 @@ def validate_series(x: Sequence[float], name: str = "series") -> None:
             raise ValueError(
                 f"{name}: sample {i} is not finite ({v!r})"
             )
-
-
-def ensure_univariate_pair(
-    x: Sequence[float], y: Sequence[float], where: str,
-) -> None:
-    """Refuse multivariate input to a scalar-only measure.
-
-    The scalar measures' DP loops subtract samples directly, so a
-    vector sample would die in arithmetic; this names the fix instead.
-    """
-    if (
-        series_dims(x, "series x") is not None
-        or series_dims(y, "series y") is not None
-    ):
-        raise ValueError(
-            f"{where} is a univariate measure but the input is "
-            "multivariate (shaped (length, dims)); use the "
-            "multivariate measures instead (dtw_d/dtw_i for full DTW, "
-            "cdtw_d/cdtw_i for banded)"
-        )
+    return dims
 
 
 def validate_pair(
     x: Sequence[float], y: Sequence[float],
-) -> None:
+) -> Optional[int]:
     """Validate both operands of a distance computation.
 
     Beyond the per-series checks, the two series must agree on
     dimensionality: comparing a univariate series against a
     multivariate one (or 3-axis against 2-axis) is always a caller
-    bug, caught here rather than deep in a DP loop.
+    bug, caught here rather than deep in a DP loop.  Returns the
+    shared dims (``None`` for univariate).
     """
-    validate_series(x, "series x")
-    validate_series(y, "series y")
-    dx = series_dims(x, "series x")
-    dy = series_dims(y, "series y")
+    dx = validate_series(x, "series x")
+    dy = validate_series(y, "series y")
     if dx != dy:
         fmt = lambda d: "univariate" if d is None else f"{d}-dimensional"
         raise ValueError(
             f"dimensionality mismatch: series x is {fmt(dx)} but "
             f"series y is {fmt(dy)}"
+        )
+    return dx
+
+
+def validate_univariate_pair(
+    x: Sequence[float], y: Sequence[float], where: str,
+) -> None:
+    """:func:`validate_pair`, then refuse multivariate input to the
+    scalar-only measure ``where``.
+
+    The scalar measures' DP loops subtract samples directly, so a
+    vector sample would die in arithmetic; this names the fix instead.
+    """
+    if validate_pair(x, y) is not None:
+        raise ValueError(
+            f"{where} is a univariate measure but the input is "
+            "multivariate (shaped (length, dims)); use the "
+            "multivariate measures instead (dtw_d/dtw_i for full DTW, "
+            "cdtw_d/cdtw_i for banded)"
         )

@@ -17,12 +17,20 @@ overlap diagonally, so at least one valid warping path exists inside
 every window.  :meth:`Window.from_cells` enforces this by widening
 degenerate input regions, mirroring what reference FastDTW
 implementations do implicitly.
+
+:meth:`Window.full` and :meth:`Window.band` (and so
+:meth:`Window.from_fraction`) are memoised: a repeated-use caller
+(a k-NN scan, a cascade's exact stage, a batch worker) pays the O(n)
+build once per lattice shape, not once per DP.  A window is a frozen
+dataclass of tuples, so the shared instances are immutable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 Range = Tuple[int, int]
@@ -70,11 +78,17 @@ class Window:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    @lru_cache(maxsize=512)
     def full(cls, n: int, m: int) -> "Window":
-        """The unconstrained window covering the entire lattice."""
-        return cls(n, m, tuple((0, m - 1) for _ in range(n)))
+        """The unconstrained window covering the entire lattice.
+
+        Memoised (LRU, 512 shapes): equal arguments return the same
+        immutable instance.
+        """
+        return cls(n, m, ((0, m - 1),) * n)
 
     @classmethod
+    @lru_cache(maxsize=512)
     def band(cls, n: int, m: int, band: int) -> "Window":
         """Sakoe-Chiba band of half-width ``band`` cells.
 
@@ -88,6 +102,10 @@ class Window:
         A ``band`` of zero with ``n == m`` degenerates to the diagonal:
         cDTW with ``band=0`` *is* the Euclidean distance (Section 2 of
         the paper).
+
+        Memoised (LRU, 512 shapes): equal arguments return the same
+        immutable instance, so a caller running many DPs over one
+        lattice shape builds its window once.
         """
         if band < 0:
             raise ValueError("band must be non-negative")
@@ -151,11 +169,13 @@ class Window:
 
         ``window`` is a fraction of the series length (``0.1`` is the
         paper's "w = 10%"); the absolute half-width is
-        ``ceil(window * max(n, m))``.
+        :func:`band_from_fraction` of ``max(n, m)``.  The window comes
+        from the memoised :meth:`band`, so it is a shared immutable
+        instance.
         """
         if not 0.0 <= window <= 1.0:
             raise ValueError("window fraction must be in [0, 1]")
-        return cls.band(n, m, math.ceil(window * max(n, m)))
+        return cls.band(n, m, band_from_fraction(window, max(n, m)))
 
     @classmethod
     def from_cells(cls, n: int, m: int, cells: Iterable[Cell]) -> "Window":
@@ -270,6 +290,25 @@ class Window:
             f"Window({self.n}x{self.m}, cells={self.cell_count()}, "
             f"coverage={self.coverage():.3f})"
         )
+
+
+def band_from_fraction(window: float, length: int) -> int:
+    """The band half-width, in cells, of a window fraction of ``length``.
+
+    ``ceil(window * length)``, with ``window`` read as the decimal it
+    prints as: in binary floating point ``0.07 * 100`` is
+    ``7.000000000000001``, which would turn the paper's "w = 7%" of
+    100 samples into a band of 8.  Every fraction-to-band conversion
+    goes through here, so :meth:`Window.from_fraction`, the cascades'
+    envelopes and the batch scheduler's grouping key agree.
+
+    >>> band_from_fraction(0.07, 100)
+    7
+    >>> band_from_fraction(0.04, 945)
+    38
+    """
+    num, den = Decimal(repr(float(window))).as_integer_ratio()
+    return -(-num * length // den)
 
 
 def _fill_missing_rows(ranges: List[Range], m: int) -> None:

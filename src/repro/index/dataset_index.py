@@ -341,6 +341,25 @@ def _moments_nd(raw: Sequence[Sequence[float]]) -> Tuple[float, ...]:
     return tuple(out)
 
 
+def index_dims(dims: Optional[int], what: str) -> int:
+    """The ``dims`` an index records for a dataset of sample width
+    ``dims`` (:func:`~repro.batch.shm.dataset_dims`).
+
+    An index records univariate data as ``dims=1``, so ``(length, 1)``
+    vector samples could not round-trip: they are refused here, with
+    the fix named, rather than failing later in arithmetic.
+    """
+    if dims is None:
+        return 1
+    if dims == 1:
+        raise ValueError(
+            f"{what} is shaped (length, 1); an index stores one-channel "
+            "data as flat series, so pass one float per sample instead "
+            "of 1-component vectors"
+        )
+    return dims
+
+
 def _row(row) -> Tuple[float, ...]:
     """One ``(n,)`` row as floats."""
     return tuple(float(v) for v in row)
@@ -426,9 +445,9 @@ def build_index(
         raise ValueError("cannot index empty series")
     for i, s in enumerate(series):
         validate_series(s, f"series[{i}]")
-    dims = dataset_dims(series)
+    dims = index_dims(dataset_dims(series), "collection")
     _, _, fingerprint = pack_dataset(series)
-    if dims is None:
+    if dims == 1:
         raw = [list(s) for s in series]
         prepared = [znorm(s) if normalize else list(s) for s in raw]
     else:
@@ -441,8 +460,7 @@ def build_index(
     return _assemble(
         kind="collection", band=band, normalize=normalize, step=1,
         window=n, starts=(), source_fingerprint=fingerprint,
-        prepared=prepared, raw=raw, runtime=runtime,
-        dims=1 if dims is None else dims,
+        prepared=prepared, raw=raw, runtime=runtime, dims=dims,
     )
 
 
@@ -469,14 +487,14 @@ def build_stream_index(
     validate_series(stream, "stream")
     if len(stream) < window:
         raise ValueError("stream shorter than window")
-    dims = dataset_dims([stream])
+    dims = index_dims(dataset_dims([stream]), "stream")
     _, _, fingerprint = pack_dataset([stream])
     starts = []
     raw = []
     prepared = []
     for start, w in sliding_windows(stream, window, step):
         starts.append(start)
-        if dims is None:
+        if dims == 1:
             raw.append(w)
             prepared.append(znorm(w) if normalize else list(w))
         else:
@@ -486,6 +504,5 @@ def build_stream_index(
     return _assemble(
         kind="windows", band=band, normalize=normalize, step=step,
         window=window, starts=starts, source_fingerprint=fingerprint,
-        prepared=prepared, raw=raw, runtime=runtime,
-        dims=1 if dims is None else dims,
+        prepared=prepared, raw=raw, runtime=runtime, dims=dims,
     )

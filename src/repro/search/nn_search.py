@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from ..core.cdtw import cdtw
 from ..core.euclidean import euclidean
 from ..core.fastdtw import fastdtw
+from ..core.window import band_from_fraction
 from ..lowerbounds.cascade import CascadeBatch, CascadeStats
 from ..obs import trace as _obs
 from ..runtime import Runtime
@@ -240,8 +241,6 @@ def _nearest_neighbor_batched(
 
 
 def _resolve_band(n: int, band: Optional[int], window: Optional[float]) -> int:
-    import math
-
     if (band is None) == (window is None):
         raise ValueError("specify exactly one of band= or window=")
     if band is not None:
@@ -250,4 +249,4 @@ def _resolve_band(n: int, band: Optional[int], window: Optional[float]) -> int:
         return band
     if not 0.0 <= window <= 1.0:
         raise ValueError("window fraction must be in [0, 1]")
-    return math.ceil(window * n)
+    return band_from_fraction(window, n)

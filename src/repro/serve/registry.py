@@ -27,6 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..batch.shm import dataset_dims, pack_dataset
 from ..core.validate import validate_series
 from ..index import DatasetIndex, build_index, build_stream_index
+from ..index.dataset_index import index_dims
 from .protocol import ProtocolError
 
 __all__ = ["ArtifactCache", "DatasetRegistry", "RegisteredDataset"]
@@ -37,7 +38,8 @@ class RegisteredDataset:
     """One named dataset: a collection of series, or a single stream.
 
     Multivariate datasets (rows of ``(length, dims)`` vector samples)
-    record ``dims > 1``.
+    record ``dims > 1``; ``(length, 1)`` rows are refused at
+    registration (see :func:`repro.index.dataset_index.index_dims`).
     """
 
     name: str
@@ -82,13 +84,13 @@ class DatasetRegistry:
         for i, row in enumerate(rows):
             validate_series(row, f"series {i}")
         try:
-            dims = dataset_dims(rows)
+            dims = index_dims(dataset_dims(rows), f"dataset {name!r}")
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
         _, _, fingerprint = pack_dataset(rows)
         entry = RegisteredDataset(
             name=name, kind="collection", series=tuple(rows),
-            fingerprint=fingerprint, dims=1 if dims is None else dims,
+            fingerprint=fingerprint, dims=dims,
         )
         self._datasets[name] = entry
         return entry
@@ -100,13 +102,13 @@ class DatasetRegistry:
         row = _canonical_row(values)
         validate_series(row, "stream")
         try:
-            dims = dataset_dims([row])
+            dims = index_dims(dataset_dims([row]), f"stream {name!r}")
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
         _, _, fingerprint = pack_dataset([row])
         entry = RegisteredDataset(
             name=name, kind="stream", series=(row,),
-            fingerprint=fingerprint, dims=1 if dims is None else dims,
+            fingerprint=fingerprint, dims=dims,
         )
         self._datasets[name] = entry
         return entry

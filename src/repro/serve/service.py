@@ -42,6 +42,7 @@ then drain in-flight batches, then shut the owned executor down
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -68,6 +69,8 @@ from .protocol import (
 from .registry import ArtifactCache, DatasetRegistry, RegisteredDataset
 
 __all__ = ["QueryService", "ServiceStats"]
+
+_log = logging.getLogger(__name__)
 
 #: latencies kept for the percentile estimates (a rolling window)
 _MAX_LATENCIES = 4096
@@ -456,6 +459,14 @@ class QueryService:
             snapshot = trace.snapshot()
         except (ProtocolError, ValueError, RuntimeError) as exc:
             return self._error_response(request, exc)
+        except Exception as exc:
+            # a bug, not a bad request: log it and answer this request
+            # alone, so its batch-mates keep their answers
+            _log.exception("%s request on %r failed", request.op,
+                           request.dataset)
+            return self._error_response(
+                request, f"internal error ({type(exc).__name__}): {exc}"
+            )
         elapsed = (time.perf_counter() - started) * 1000.0
         self._accumulator.merge(snapshot)
         if self.cache_results:

@@ -237,6 +237,26 @@ class TestChunkBand:
             got = Window.band(n, m, band_for(n, m))
             assert got.ranges == expected.ranges
 
+    def test_fraction_grid_matches_from_fraction_band(self):
+        # over every whole percent, including the products that binary
+        # floating point rounds above an integer (0.07 * 100, 0.14 * 50)
+        from repro.core.window import Window, band_from_fraction
+
+        shapes = ((7, 7), (50, 50), (96, 96), (100, 100), (128, 128),
+                  (17, 23), (100, 99), (50, 150))
+        for percent in range(1, 101):
+            window = percent / 100
+            band_for = chunk_band("cdtw", window=window)
+            for n, m in shapes:
+                band = band_for(n, m)
+                assert band == band_from_fraction(window, max(n, m))
+                # the same memo key, hence the very window the
+                # per-pair path builds
+                assert (Window.band(n, m, band)
+                        is Window.from_fraction(n, m, window))
+        assert chunk_band("cdtw", window=0.07)(100, 100) == 7
+        assert chunk_band("cdtw", window=0.14)(50, 50) == 7
+
     def test_absolute_band_shape_independent(self):
         band_for = chunk_band("cdtw", band=5)
         assert band_for(10, 10) == band_for(500, 700) == 5

@@ -108,3 +108,35 @@ class TestClassifier:
         clf.fit(series, labels)
         clf.predict_one([0.0] * 10)
         assert clf.cells_evaluated > 0
+
+
+class TestWindowBuiltOnce:
+    """The cascade's exact stage runs many DPs over one lattice shape;
+    the memoised band window is built once for all of them."""
+
+    def test_loocv_builds_its_band_window_once(self, monkeypatch):
+        from repro.core.window import Window
+        from repro.obs import RunTrace
+
+        data = gesture_dataset(
+            n_classes=4, per_class=6, length=128, warp_fraction=0.04,
+            seed=3,
+        )
+        series = [list(s) for s in data.series]
+        clf = OneNearestNeighbor(
+            DistanceSpec("cdtw", window=0.04, use_lower_bounds=True)
+        ).fit(series, data.labels)
+        builds = []
+        original = Window.__post_init__
+
+        def counting(self):
+            builds.append((self.n, self.m))
+            original(self)
+
+        monkeypatch.setattr(Window, "__post_init__", counting)
+        with RunTrace() as trace:
+            for i, s in enumerate(series):
+                clf.predict_one(s, exclude=i)
+        assert trace.counter("dp.calls") >= len(series)
+        # at most once: an earlier test may already have built it
+        assert builds in ([], [(128, 128)])

@@ -6,16 +6,12 @@ from repro.core import kernels
 from repro.core.kernels import (
     KernelSet,
     available_backends,
-    banded_window,
     default_backend,
-    fraction_window,
-    full_window,
     get_kernels,
     resolve_backend,
     set_default_backend,
     use_backend,
 )
-from repro.core.window import Window
 from tests.conftest import make_series
 
 
@@ -100,22 +96,6 @@ class TestDefaultSwitching:
         assert switched.measure == measure
         assert plain.values == switched.values
         assert plain.cells == switched.cells
-
-
-class TestWindowMemoisation:
-    def test_full_window_cached(self):
-        assert full_window(7, 9) is full_window(7, 9)
-        assert full_window(7, 9) == Window.full(7, 9)
-
-    def test_banded_window_cached(self):
-        assert banded_window(8, 8, 2) is banded_window(8, 8, 2)
-        assert banded_window(8, 8, 2) == Window.band(8, 8, 2)
-
-    def test_fraction_window_cached(self):
-        assert fraction_window(10, 10, 0.1) is fraction_window(10, 10, 0.1)
-        assert fraction_window(10, 10, 0.1) == Window.from_fraction(
-            10, 10, 0.1
-        )
 
 
 class TestKernelContracts:

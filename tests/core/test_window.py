@@ -1,9 +1,11 @@
 """Unit tests for Window construction and feasibility."""
 
+import math
+
 import pytest
 
 from repro.core.path import WarpingPath, diagonal_path
-from repro.core.window import Window
+from repro.core.window import Window, band_from_fraction
 
 
 class TestFull:
@@ -84,6 +86,83 @@ class TestFromFraction:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Window.from_fraction(10, 10, 1.5)
+
+    @pytest.mark.parametrize("window,n,band", [(0.07, 100, 7), (0.14, 50, 7)])
+    def test_reads_the_fraction_as_written(self, window, n, band):
+        # 0.07 * 100 == 7.000000000000001 in binary floating point; a
+        # plain ceil() of that product admitted band 8
+        assert window * n > band
+        assert band_from_fraction(window, n) == band
+        assert Window.from_fraction(n, n, window) is Window.band(n, n, band)
+
+    def test_band_from_fraction_is_exact_over_percent_grid(self):
+        # the ceiling of the decimal fraction, in exact arithmetic
+        for percent in range(0, 101):
+            window = percent / 100
+            for n in range(1, 1001):
+                assert band_from_fraction(window, n) == -(-percent * n // 100)
+
+    def test_band_from_fraction_matches_ceil_off_the_grid(self):
+        # away from exact products the decimal reading is plain ceil()
+        for window in (0.033, 0.1234, 0.5, 0.999):
+            for n in (7, 96, 128, 945):
+                assert band_from_fraction(window, n) == math.ceil(window * n)
+
+
+class TestWindowMemoisation:
+    """``full`` and ``band`` (and so ``from_fraction``) share one
+    immutable instance per argument tuple."""
+
+    # unequal lengths, band 0, and bands at or past the longer length
+    GRID = [
+        (n, m, b)
+        for n in (1, 2, 7, 16, 33)
+        for m in (1, 3, 16, 23)
+        for b in (0, 1, 3, 16, 40)
+    ]
+
+    def test_full_window_cached(self):
+        assert Window.full(7, 9) is Window.full(7, 9)
+        assert Window.full(7, 9).ranges == ((0, 8),) * 7
+
+    def test_banded_window_cached(self):
+        assert Window.band(8, 8, 2) is Window.band(8, 8, 2)
+
+    def test_fraction_window_cached(self):
+        assert Window.from_fraction(10, 10, 0.1) is Window.from_fraction(
+            10, 10, 0.1
+        )
+        assert Window.from_fraction(10, 10, 0.1) is Window.band(10, 10, 1)
+
+    def test_band_grid_shared_and_equal_to_uncached_build(self):
+        uncached = Window.band.__wrapped__
+        for n, m, b in self.GRID:
+            w = Window.band(n, m, b)
+            assert Window.band(n, m, b) is w
+            fresh = uncached(Window, n, m, b)
+            assert fresh is not w
+            assert (fresh.n, fresh.m, fresh.ranges) == (n, m, w.ranges)
+
+    def test_full_grid_equal_to_uncached_build(self):
+        for n, m, _ in self.GRID:
+            assert Window.full(n, m) == Window.full.__wrapped__(Window, n, m)
+
+    def test_negative_band_raises_every_time(self):
+        # a failed build is not memoised
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-negative"):
+                Window.band(3, 3, -1)
+
+    def test_memo_is_bounded(self):
+        assert 0 < Window.band.cache_info().maxsize <= 512
+        assert 0 < Window.full.cache_info().maxsize <= 512
+
+    def test_windows_are_immutable(self):
+        w = Window.band(8, 8, 2)
+        with pytest.raises(AttributeError):
+            w.ranges = ()
+        assert isinstance(w.ranges, tuple)
+        assert all(isinstance(r, tuple) for r in w.ranges)
 
 
 class TestFromCells:

@@ -254,3 +254,22 @@ def test_index_is_backend_invariant(backend):
     base = build_index(SERIES, band=3)
     other = build_index(SERIES, band=3, runtime=Runtime(backend=backend))
     assert other == base
+
+
+class TestSingleChannelVectors:
+    """An index records univariate data as ``dims=1``, so ``(length, 1)``
+    vector samples are refused up front, with the fix named."""
+
+    def test_collection_refused(self):
+        rows = [[(v,) for v in s] for s in SERIES]
+        with pytest.raises(ValueError, match=r"\(length, 1\).*flat series"):
+            build_index(rows, band=2)
+
+    def test_stream_refused(self):
+        with pytest.raises(ValueError, match=r"stream is shaped \(length, 1\)"):
+            build_stream_index([(v,) for v in STREAM], window=10, band=2)
+
+    def test_flat_and_two_channel_collections_still_index(self):
+        assert build_index(SERIES, band=2).dims == 1
+        rows = [[(v, -v) for v in s] for s in SERIES]
+        assert build_index(rows, band=2).dims == 2

@@ -104,3 +104,25 @@ class TestValidation:
         query, candidates = workload
         with pytest.raises(ValueError):
             nearest_neighbor(query, candidates, "cdtw", window=2.0)
+
+
+class TestFractionBand:
+    @pytest.mark.parametrize("strategy", ["cdtw", "cdtw+lb"])
+    @pytest.mark.parametrize("window,n,band", [(0.07, 100, 7), (0.14, 50, 7)])
+    def test_window_fraction_read_as_written(self, strategy, window, n,
+                                             band):
+        # window * n rounds above the integer band in binary floating
+        # point; the search must still run band 7, not 8
+        from repro.core.window import Window
+
+        query = make_series(n, 1)
+        candidates = [make_series(n, s + 30) for s in range(4)]
+        by_window = nearest_neighbor(query, candidates, strategy,
+                                     window=window)
+        by_band = nearest_neighbor(query, candidates, strategy, band=band)
+        assert (by_window.index, by_window.distance, by_window.cells) == (
+            by_band.index, by_band.distance, by_band.cells
+        )
+        if strategy == "cdtw":
+            per_pair = Window.band(n, n, band).cell_count()
+            assert by_window.cells == len(candidates) * per_pair

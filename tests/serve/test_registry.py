@@ -138,3 +138,18 @@ class TestArtifactCache:
         assert cache.peek_result(("fp", "op", (), None))
         assert not cache.peek_result(("fp", "other", (), None))
         assert cache.stats.result_hits == 0
+
+
+class TestSingleChannelVectors:
+    def test_collection_refused_with_shape_named(self):
+        reg = DatasetRegistry()
+        rows = [[(v,) for v in s] for s in SERIES]
+        with pytest.raises(ProtocolError, match=r"\(length, 1\).*flat"):
+            reg.register("one_channel", rows)
+        assert "one_channel" not in reg.names()
+
+    def test_stream_refused_with_shape_named(self):
+        reg = DatasetRegistry()
+        with pytest.raises(ProtocolError, match=r"\(length, 1\)"):
+            reg.register_stream("one_channel", [(v,) for v in SERIES[0]])
+        assert "one_channel" not in reg.names()

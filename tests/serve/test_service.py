@@ -167,6 +167,49 @@ class TestCoalescing:
         assert stats.errors == 3
 
 
+class TestUnexpectedErrors:
+    def test_single_channel_collection_refused_at_register(self):
+        from repro.serve import ProtocolError
+
+        with QueryService(runtime=Runtime(workers=1)) as service:
+            with pytest.raises(ProtocolError, match=r"\(length, 1\)"):
+                service.register("one", [[(v,) for v in s] for s in SERIES])
+            assert "one" not in service.stats().datasets
+
+    def test_unexpected_exception_answers_only_its_request(
+        self, canonical, monkeypatch
+    ):
+        # a bug (here a TypeError) in one request's handler becomes
+        # that request's error; its batch-mates keep their answers
+        burst = [
+            {"op": "1nn", "dataset": "coll", "band": 3,
+             "query": QUERIES[0]},
+            {"op": "knn", "dataset": "coll", "band": 3, "k": 3,
+             "query": QUERIES[0]},
+            {"op": "discord", "dataset": "stream", "window": 10,
+             "band": 2},
+        ]
+        with _service(runtime=Runtime(workers=1),
+                      cache_results=False) as service:
+            dispatch = service._dispatch
+
+            def broken_knn(request, dataset):
+                if request.op == "knn":
+                    raise TypeError("unsupported operand")
+                return dispatch(request, dataset)
+
+            monkeypatch.setattr(service, "_dispatch", broken_knn)
+            responses = service.execute_batch(burst)
+            stats = service.stats()
+        assert responses[0].ok and responses[0].answer == canonical[0]
+        assert not responses[1].ok
+        assert responses[1].error == (
+            "internal error (TypeError): unsupported operand"
+        )
+        assert responses[2].ok and responses[2].answer == canonical[6]
+        assert stats.errors == 1
+
+
 class TestTelemetry:
     def test_per_request_counters_reconcile(self):
         with _service(runtime=Runtime(workers=2)) as service:
