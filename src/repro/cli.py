@@ -171,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port (default 8787)")
     serve.add_argument("--window-ms", type=float, default=5.0,
                        help="micro-batch collection window in "
-                            "milliseconds (default 5.0)")
+                            "milliseconds, opened only while a "
+                            "fusable 1nn (index off, parallel "
+                            "runtime) is queued (default 5.0)")
     serve.add_argument("--workers", type=int, default=None,
                        help="query-execution workers (default: the "
                             "process-default runtime)")

@@ -62,12 +62,23 @@ def lb_keogh(
             f"candidate length {len(candidate)} != envelope length "
             f"{len(query_envelope)}"
         )
-    upper = query_envelope.upper
-    lower = query_envelope.lower
+    limit = inf if abandon_above is None else abandon_above
+    # the sum never drops below 0.0 and an in-envelope sample adds
+    # nothing, so testing once up front and then only after a gap is
+    # added abandons exactly where a per-sample test would
+    if len(candidate) and 0.0 > limit:
+        return inf
     total = 0.0
-    for i, v in enumerate(candidate):
-        total += _gap_cost(v, lower[i], upper[i], squared)
-        if abandon_above is not None and total > abandon_above:
+    for v, lo, hi in zip(candidate, query_envelope.lower,
+                         query_envelope.upper):
+        if v > hi:
+            d = v - hi
+        elif v < lo:
+            d = lo - v
+        else:
+            continue
+        total += d * d if squared else d
+        if total > limit:
             return inf
     return total
 

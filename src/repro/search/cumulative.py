@@ -43,20 +43,18 @@ def suffix_gap_bounds(
             f"series length {len(x)} != envelope length {len(y_envelope)}"
         )
     upper, lower = y_envelope.upper, y_envelope.lower
-    gaps = []
-    for i, v in enumerate(x):
+    out = [0.0] * len(x)
+    acc = 0.0
+    for i in range(len(x) - 1, -1, -1):
+        out[i] = acc
+        v = x[i]
         if v > upper[i]:
             d = v - upper[i]
         elif v < lower[i]:
             d = lower[i] - v
         else:
-            d = 0.0
-        gaps.append(d * d if squared else d)
-    out = [0.0] * len(x)
-    acc = 0.0
-    for i in range(len(x) - 1, -1, -1):
-        out[i] = acc
-        acc += gaps[i]
+            continue  # a zero gap leaves the (non-negative) sum as is
+        acc += d * d if squared else d
     return out
 
 

@@ -1,30 +1,38 @@
 """Latency-budgeted micro-batching for the asyncio front door.
 
 Window semantics: the first request to arrive while the batcher is
-idle *opens* a collection window of ``window_ms`` milliseconds; every
-request submitted before it elapses joins the same batch (bounded by
-``max_batch`` -- overflow rolls into the next window).  When the
-window closes, the whole batch executes as **one**
+idle starts a batch.  The batcher yields once, so a burst submitted
+in the same event-loop tick lands in that batch, and then holds a
+collection window of ``window_ms`` milliseconds **only while a queued
+request may fuse** (the ``may_fuse`` predicate; for the service, an
+index-off ``1nn`` under a parallel runtime).  Every request submitted
+before the window elapses joins the same batch (bounded by
+``max_batch`` -- overflow rolls into the next batch, which decides
+again).  With nothing fusable queued the batch executes at once: a
+window would only make requests wait for batch-mates they gain
+nothing from.  The batch executes as **one**
 :meth:`~repro.serve.service.QueryService.execute_batch` call on a
 worker thread, and each submitter's future resolves with its own
-response.  The trade is explicit and configurable: a request waits at
-most ``window_ms`` for batch-mates in exchange for coalesced
-execution (one lock acquisition, one warm-pool dispatch, fused
-same-dataset 1-NN jobs).
+response.
 
 Execution is strictly one batch at a time -- ``repro.obs`` traces are
 process-global, so batches never interleave; while one runs, new
-arrivals accumulate into the next window.
+arrivals accumulate into the next batch.
 
 Error isolation: per-request failures come back as ``ok=False``
 responses from the service (never exceptions); only a failure of the
-batch machinery itself rejects the in-flight futures.
+batch machinery itself rejects the in-flight futures.  Cancelling the
+drain task fails the in-flight and queued futures with a named error
+and closes the batcher, since a runner call still on its thread
+cannot be stopped and the next batch may not start beside it.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, List, Mapping, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from .protocol import QueryRequest, QueryResponse
 
@@ -36,6 +44,10 @@ RawRequest = Union[QueryRequest, Mapping[str, Any]]
 class MicroBatcher:
     """Coalesce concurrent submissions into service-sized batches.
 
+    A collection window opens only while a queued request passes
+    ``may_fuse``; otherwise each batch executes after a single
+    event-loop yield (see the module notes).
+
     Parameters
     ----------
     runner:
@@ -44,10 +56,17 @@ class MicroBatcher:
         thread with a list of requests; must return one response per
         request, in order.
     window_ms:
-        Collection window in milliseconds (the per-request latency
-        budget; 2-10 ms is the intended range).
+        Collection window in milliseconds, held while a fusable
+        request is queued (the per-request latency budget; 2-10 ms is
+        the intended range).
     max_batch:
         Ceiling on requests per executed batch.
+    may_fuse:
+        Whether a queued request can gain from batch-mates -- normally
+        a bound :meth:`QueryService.may_fuse`.  Called on the event
+        loop while a batch may be executing, so it must read no state
+        the runner changes.  ``None`` treats every request as fusable
+        (every batch holds the window).
     """
 
     def __init__(
@@ -55,6 +74,7 @@ class MicroBatcher:
         runner: Callable[[List[RawRequest]], Sequence[QueryResponse]],
         window_ms: float = 5.0,
         max_batch: int = 64,
+        may_fuse: Optional[Callable[[RawRequest], bool]] = None,
     ):
         if window_ms < 0:
             raise ValueError("window_ms must be >= 0")
@@ -63,6 +83,7 @@ class MicroBatcher:
         self._runner = runner
         self._window = window_ms / 1000.0
         self._max_batch = max_batch
+        self._may_fuse = may_fuse
         self._pending: List[Tuple[RawRequest, "asyncio.Future"]] = []
         self._drainer: "asyncio.Task | None" = None
         self._closed = False
@@ -82,40 +103,57 @@ class MicroBatcher:
             self._drainer = loop.create_task(self._drain())
         return await future
 
+    def _holds_window(self) -> bool:
+        """Whether the next batch should wait out a collection window."""
+        if self._window <= 0:
+            return False
+        if self._may_fuse is None:
+            return True
+        return any(
+            self._may_fuse(request)
+            for request, _ in self._pending[: self._max_batch]
+        )
+
     async def _drain(self) -> None:
-        """Run windows until the queue is empty (one batch at a time)."""
-        while self._pending:
-            if self._window > 0:
-                await asyncio.sleep(self._window)
-            else:  # window 0: still yield once so peers can enqueue
+        """Run batches until the queue is empty (one batch at a time)."""
+        batch: List[Tuple[RawRequest, "asyncio.Future"]] = []
+        try:
+            while self._pending:
+                # one yield, so a burst submitted in the same tick
+                # shares the batch; a window only for fusable requests
                 await asyncio.sleep(0)
-            batch = self._pending[: self._max_batch]
-            del self._pending[: len(batch)]
-            if not batch:
-                continue
-            requests = [request for request, _ in batch]
-            try:
-                responses = await asyncio.to_thread(
-                    self._runner, requests
-                )
-                if len(responses) != len(requests):
-                    raise RuntimeError(
-                        "runner returned "
-                        f"{len(responses)} responses for "
-                        f"{len(requests)} requests"
+                if self._holds_window():
+                    await asyncio.sleep(self._window)
+                batch = self._pending[: self._max_batch]
+                del self._pending[: len(batch)]
+                requests = [request for request, _ in batch]
+                try:
+                    responses = await asyncio.to_thread(
+                        self._runner, requests
                     )
-            except BaseException as exc:
-                for _, future in batch:
-                    if not future.done():
-                        future.set_exception(
-                            RuntimeError(f"batch execution failed: {exc}")
+                    if len(responses) != len(requests):
+                        raise RuntimeError(
+                            "runner returned "
+                            f"{len(responses)} responses for "
+                            f"{len(requests)} requests"
                         )
-                continue
-            self.batches += 1
-            self.largest_batch = max(self.largest_batch, len(batch))
-            for (_, future), response in zip(batch, responses):
-                if not future.done():
-                    future.set_result(response)
+                except Exception as exc:
+                    _fail(batch, f"batch execution failed: {exc}")
+                    continue
+                self.batches += 1
+                self.largest_batch = max(self.largest_batch, len(batch))
+                for (_, future), response in zip(batch, responses):
+                    if not future.done():
+                        future.set_result(response)
+        except asyncio.CancelledError:
+            self._closed = True
+            _fail(
+                batch + self._pending,
+                "micro-batcher cancelled before this request's batch "
+                "completed",
+            )
+            self._pending.clear()
+            raise
 
     async def close(self) -> None:
         """Refuse new submissions, then drain everything in flight."""
@@ -126,3 +164,12 @@ class MicroBatcher:
     @property
     def closed(self) -> bool:
         return self._closed
+
+
+def _fail(
+    batch: Sequence[Tuple[RawRequest, "asyncio.Future"]], message: str
+) -> None:
+    """Reject every still-pending future of ``batch`` with ``message``."""
+    for _, future in batch:
+        if not future.done():
+            future.set_exception(RuntimeError(message))

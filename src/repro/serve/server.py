@@ -3,8 +3,10 @@
 :class:`AsyncQueryService` glues a synchronous
 :class:`~repro.serve.service.QueryService` to a
 :class:`~repro.serve.batcher.MicroBatcher`: ``await query(...)``
-enqueues into the current collection window and resolves with that
-request's response.  Shutdown ordering is the documented contract:
+enqueues into the next batch and resolves with that request's
+response; the batcher holds a collection window only while a request
+the service may fuse (:meth:`QueryService.may_fuse`) is queued.
+Shutdown ordering is the documented contract:
 **stop accepting -> drain the batcher -> close the service** (which
 shuts the owned executor down and unlinks its shm segments) -- so no
 in-flight request ever sees a closed executor and no segment outlives
@@ -67,14 +69,14 @@ class AsyncQueryService:
         self.service = service or QueryService(**service_kwargs)
         self.batcher = MicroBatcher(
             self.service.execute_batch, window_ms=window_ms,
-            max_batch=max_batch,
+            max_batch=max_batch, may_fuse=self.service.may_fuse,
         )
         self.window_ms = window_ms
 
     async def query(
         self, request: Union[QueryRequest, Mapping[str, Any]]
     ) -> QueryResponse:
-        """Submit one query into the current micro-batch window."""
+        """Submit one query into the next micro-batch."""
         return await self.batcher.submit(request)
 
     def register(self, name: str, series) -> str:
@@ -185,8 +187,9 @@ async def _handle_connection(
             if isinstance(obj, dict) and "admin" in obj:
                 await respond(await _handle_admin(service, obj))
                 continue
-            # queries run concurrently so pipelined requests land in
-            # the same collection window -- that's what batches them
+            # queries run concurrently so pipelined requests read in
+            # one tick share a batch; a collection window holds it
+            # open for later lines only while a fusable 1nn is queued
             tasks.append(asyncio.ensure_future(run_query(obj)))
             tasks = [t for t in tasks if not t.done()]
     finally:

@@ -25,7 +25,9 @@ correctness lives here:
   :func:`~repro.batch.engine.argmin_first` -- the exact serial tie
   rule.  Lower-bound pruning is lossless for both the neighbour and
   its distance, so the fused full-compute rows return bit-identical
-  answers to the pruned serial scan.
+  answers to the pruned serial scan.  The micro-batcher holds its
+  collection window only while a request that may fuse
+  (:meth:`QueryService.may_fuse`) is queued.
 * **Amortisation.**  Indexes and pure results are cached across
   requests by content fingerprint (:mod:`repro.serve.registry`);
   re-registration invalidates by fingerprint sweep.
@@ -320,27 +322,49 @@ class QueryService:
             tuple(sorted(request.params.items())), request.query,
         )
 
+    def may_fuse(
+        self, request: Union[QueryRequest, Mapping[str, Any]]
+    ) -> bool:
+        """Whether ``request`` could join a fused ``1nn`` group.
+
+        The part of :meth:`_coalesce_groups`' rule that needs no
+        registry lookup: parallel runtime (there is a pool to
+        amortise), op ``1nn``, and the request off the index fast path
+        (its ``index`` parameter, else the service default).  Raw
+        mappings are read unvalidated.  It reads only settings fixed
+        at construction, so the event loop may call it while a batch
+        executes; the micro-batcher holds a collection window only
+        while a queued request passes it.
+        """
+        if not self.runtime.parallel:
+            return False
+        if isinstance(request, QueryRequest):
+            op, index = request.op, self._use_index_for(request)
+        elif isinstance(request, Mapping):
+            op, index = request.get("op"), request.get("index",
+                                                       self.use_index)
+        else:
+            return False
+        return op == "1nn" and not index
+
     def _coalesce_groups(
         self, parsed: Sequence[Optional[QueryRequest]]
     ) -> List[List[int]]:
         """Positions of fusable ``1nn`` requests, grouped.
 
-        A group fuses when: parallel runtime (there is a pool to
-        amortise), op ``1nn``, the request is off the index fast path,
-        no cached result, same collection fingerprint + band, and at
-        least two members.
+        A group fuses when: :meth:`may_fuse` holds, the dataset is a
+        collection, no cached result, same collection fingerprint +
+        band, and at least two members.
         """
-        if not self.runtime.parallel:
-            return []
         buckets: Dict[tuple, List[int]] = {}
         for pos, req in enumerate(parsed):
-            if req is None or req.op != "1nn":
+            if req is None or not self.may_fuse(req):
                 continue
             try:
                 dataset = self.registry.get(req.dataset)
             except ProtocolError:
                 continue  # the per-request path reports the error
-            if dataset.kind != "collection" or self._use_index_for(req):
+            if dataset.kind != "collection":
                 continue
             if self.cache_results and self.artifacts.peek_result(
                 self._result_key(req, dataset.fingerprint)

@@ -1,11 +1,13 @@
 """Unit tests for LB_Keogh and its reversed variant."""
 
 import math
+import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.cdtw import cdtw
-from repro.lowerbounds.envelope import envelope
+from repro.lowerbounds.envelope import Envelope, envelope
 from repro.lowerbounds.lb_keogh import lb_keogh, lb_keogh_reversed
 from tests.conftest import make_series
 
@@ -98,3 +100,79 @@ class TestLbKeoghReversed:
                 lb_keogh_reversed(q, c, band),
             )
             assert combined <= cdtw(q, c, band=band).distance + 1e-9
+
+
+# -- bit-identity of the inlined loop ---------------------------------------
+
+_VALUE = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from(
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200]
+    ),
+)
+
+
+def _gap(v, lo, hi, squared):
+    if v > hi:
+        d = v - hi
+    elif v < lo:
+        d = lo - v
+    else:
+        return 0.0
+    return d * d if squared else d
+
+
+def _lb_keogh_per_sample(env, candidate, squared=True, abandon_above=None):
+    """Reference: add every sample's gap, then test the threshold."""
+    total = 0.0
+    for i, v in enumerate(candidate):
+        total += _gap(v, env.lower[i], env.upper[i], squared)
+        if abandon_above is not None and total > abandon_above:
+            return math.inf
+    return total
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+class TestLbKeoghMatchesPerSampleLoop:
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), squared=st.booleans())
+    def test_same_bits_and_same_abandons(self, data, squared):
+        n = data.draw(st.integers(1, 24), label="n")
+        query = data.draw(st.lists(_VALUE, min_size=n, max_size=n))
+        candidate = data.draw(st.lists(_VALUE, min_size=n, max_size=n))
+        env = envelope(query, data.draw(st.integers(0, n), label="band"))
+        # thresholds at every running sum hit the strict-> boundary
+        running, sums = 0.0, []
+        for i, v in enumerate(candidate):
+            running += _gap(v, env.lower[i], env.upper[i], squared)
+            sums.append(running)
+        threshold = data.draw(st.one_of(
+            st.none(),
+            st.sampled_from(
+                [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan] + sums
+            ),
+            st.floats(-5.0, 500.0),
+        ), label="threshold")
+        want = _lb_keogh_per_sample(env, candidate, squared, threshold)
+        got = lb_keogh(env, candidate, squared=squared,
+                       abandon_above=threshold)
+        assert _bits(got) == _bits(want)
+        assert (got == math.inf) == (want == math.inf)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, -math.inf])
+    def test_inside_envelope_abandons_only_below_zero(self, threshold):
+        env = envelope([0.0, 5.0, 0.0], 1)
+        inside = [1.0, 2.0, 3.0]
+        want = _lb_keogh_per_sample(env, inside, abandon_above=threshold)
+        assert lb_keogh(env, inside, abandon_above=threshold) == want
+        assert want == (0.0 if threshold == 0.0 else math.inf)
+
+    @example(threshold=-1.0)
+    @given(threshold=st.one_of(st.none(), st.floats(allow_nan=True)))
+    def test_empty_candidate_never_abandons(self, threshold):
+        empty = Envelope(0, [], [])
+        assert lb_keogh(empty, [], abandon_above=threshold) == 0.0
+        assert _lb_keogh_per_sample(empty, [], True, threshold) == 0.0

@@ -1,6 +1,7 @@
 """Unit tests for cumulative-suffix-bound early abandoning."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,25 @@ from repro.search.cumulative import (
 from repro.search.nn_search import nearest_neighbor
 from repro.search.subsequence import subsequence_search
 from tests.conftest import make_series
+
+
+def _suffix_two_pass(x, env, squared):
+    """Reference: every gap first, then sums from the tail."""
+    gaps = []
+    for i, v in enumerate(x):
+        if v > env.upper[i]:
+            d = v - env.upper[i]
+        elif v < env.lower[i]:
+            d = env.lower[i] - v
+        else:
+            d = 0.0
+        gaps.append(d * d if squared else d)
+    out = [0.0] * len(x)
+    acc = 0.0
+    for i in range(len(x) - 1, -1, -1):
+        out[i] = acc
+        acc += gaps[i]
+    return out
 
 
 class TestSuffixGapBounds:
@@ -51,6 +71,23 @@ class TestSuffixGapBounds:
         env = envelope([1.0, 2.0], 1)
         with pytest.raises(ValueError):
             suffix_gap_bounds([1.0], env)
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), squared=st.booleans())
+    def test_same_bits_as_gaps_then_tail_sums(self, data, squared):
+        value = st.one_of(
+            st.floats(-10.0, 10.0),
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e200]),
+        )
+        n = data.draw(st.integers(1, 24), label="n")
+        x = data.draw(st.lists(value, min_size=n, max_size=n))
+        y = data.draw(st.lists(value, min_size=n, max_size=n))
+        env = envelope(y, data.draw(st.integers(0, n), label="band"))
+        got = suffix_gap_bounds(x, env, squared=squared)
+        want = _suffix_two_pass(x, env, squared)
+        assert [struct.pack("<d", v) for v in got] == [
+            struct.pack("<d", v) for v in want
+        ]
 
 
 class TestCumulativeAbandon:

@@ -1,6 +1,7 @@
 """MicroBatcher window semantics, ordering, isolation, shutdown."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -107,6 +108,53 @@ class TestCoalescing:
         assert len(runner.batches) == 2
 
 
+class TestFusionWindow:
+    def test_no_window_without_a_fusable_request(self):
+        runner = Recorder()
+        batcher = MicroBatcher(runner, window_ms=500,
+                               may_fuse=lambda r: False)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await asyncio.wait_for(batcher.submit({"tag": 0}), timeout=5)
+            return loop.time() - started
+
+        assert _run(main()) < 0.25
+        assert [len(b) for b in runner.batches] == [1]
+
+    def test_same_tick_burst_still_shares_a_batch(self):
+        runner = Recorder()
+        batcher = MicroBatcher(runner, window_ms=500,
+                               may_fuse=lambda r: False)
+
+        async def main():
+            return await asyncio.wait_for(asyncio.gather(
+                *(batcher.submit({"tag": i}) for i in range(4))
+            ), timeout=5)
+
+        assert len(_run(main())) == 4
+        assert [len(b) for b in runner.batches] == [4]
+
+    def test_a_queued_fusable_request_holds_the_window(self):
+        runner = Recorder()
+        batcher = MicroBatcher(
+            runner, window_ms=500, may_fuse=lambda r: r["tag"] == "fuse"
+        )
+
+        async def main():
+            first = asyncio.ensure_future(batcher.submit({"tag": "fuse"}))
+            await asyncio.sleep(0.05)  # inside the held window
+            late = asyncio.ensure_future(batcher.submit({"tag": "plain"}))
+            return await asyncio.wait_for(
+                asyncio.gather(first, late), timeout=5
+            )
+
+        responses = _run(main())
+        assert [r.answer["tag"] for r in responses] == ["fuse", "plain"]
+        assert [len(b) for b in runner.batches] == [2]
+
+
 class TestErrorsAndShutdown:
     def test_runner_failure_rejects_only_that_batch(self):
         runner = Recorder(fail_on="bad")
@@ -144,6 +192,45 @@ class TestErrorsAndShutdown:
 
         assert _run(main()).answer["tag"] == 0
         assert batcher.closed
+
+    def test_cancelled_drainer_fails_every_future_and_closes(self):
+        entered = threading.Event()
+
+        class Slow(Recorder):
+            def __call__(self, requests):
+                entered.set()
+                return super().__call__(requests)
+
+        runner = Slow(delay=0.2)
+        batcher = MicroBatcher(runner, window_ms=1)
+
+        async def main():
+            running = asyncio.ensure_future(batcher.submit({"tag": 0}))
+            # batch 0 is in the runner now, with about 0.2 s to go
+            assert await asyncio.to_thread(entered.wait, 5)
+            queued = asyncio.ensure_future(batcher.submit({"tag": 1}))
+            await asyncio.sleep(0)  # queued behind the running batch
+            drainer = batcher._drainer
+            drainer.cancel()
+            await asyncio.wait(
+                [drainer, running, queued], timeout=5,
+                return_when=asyncio.ALL_COMPLETED,
+            )
+            errors = [
+                f.exception() if f.done() else None
+                for f in (running, queued)
+            ]
+            with pytest.raises(RuntimeError, match="closed"):
+                await batcher.submit({"tag": 2})
+            return drainer, errors
+
+        drainer, errors = _run(main())
+        assert drainer.cancelled()
+        for error in errors:
+            assert isinstance(error, RuntimeError)
+            assert "micro-batcher cancelled" in str(error)
+        # the runner finished batch 0 on its thread and saw nothing else
+        assert [[r["tag"] for r in b] for b in runner.batches] == [[0]]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="window_ms"):

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -201,9 +202,11 @@ class TestSocketServer:
             assert "too long" in by_id[None]["error"]
 
     def test_pipelined_queries_share_a_window(self):
+        # index-off 1nn on a parallel runtime: the requests the
+        # window is held for
         async def main():
             async with AsyncQueryService(
-                window_ms=30, runtime=Runtime(workers=1)
+                window_ms=30, runtime=Runtime(workers=2)
             ) as service:
                 service.register("coll", SERIES)
                 server = await serve(service, host="127.0.0.1", port=0)
@@ -215,7 +218,8 @@ class TestSocketServer:
                     for i in range(3):
                         writer.write(json.dumps({
                             "op": "1nn", "dataset": "coll", "band": 3,
-                            "query": QUERY, "id": str(i),
+                            "index": False, "query": QUERY,
+                            "id": str(i),
                         }).encode() + b"\n")
                     await writer.drain()
                     got = [
@@ -233,6 +237,66 @@ class TestSocketServer:
         assert all(r["ok"] for r in responses)
         assert {r["id"] for r in responses} == {"0", "1", "2"}
         assert largest >= 2  # they rode one collection window
+
+
+class TestWindowRule:
+    """A collection window is held only while a fusable 1nn is queued."""
+
+    WINDOW_MS = 500
+
+    @staticmethod
+    def _request(seed, **params):
+        return {"op": "1nn", "dataset": "coll", "band": 3,
+                "query": make_series(20, seed=seed), **params}
+
+    def _lone_query_seconds(self, runtime, **params):
+        async def main():
+            async with AsyncQueryService(
+                window_ms=self.WINDOW_MS, runtime=runtime
+            ) as service:
+                service.register("coll", SERIES)
+                started = time.perf_counter()
+                response = await asyncio.wait_for(
+                    service.query(self._request(930, **params)),
+                    timeout=30,
+                )
+                return time.perf_counter() - started, response
+
+        elapsed, response = _run(main())
+        assert response.ok
+        return elapsed
+
+    def test_serial_runtime_is_not_held(self):
+        elapsed = self._lone_query_seconds(Runtime(workers=1))
+        assert elapsed < self.WINDOW_MS / 2000.0
+
+    def test_parallel_indexed_1nn_is_not_held(self):
+        elapsed = self._lone_query_seconds(Runtime(workers=2))
+        assert elapsed < self.WINDOW_MS / 2000.0
+
+    def test_parallel_index_off_1nn_is_held_and_fused(self):
+        async def main():
+            async with AsyncQueryService(
+                window_ms=self.WINDOW_MS, runtime=Runtime(workers=2)
+            ) as service:
+                service.register("coll", SERIES)
+                first = asyncio.ensure_future(
+                    service.query(self._request(931, index=False))
+                )
+                await asyncio.sleep(0.05)  # well inside the window
+                second = asyncio.ensure_future(
+                    service.query(self._request(932, index=False))
+                )
+                responses = await asyncio.wait_for(
+                    asyncio.gather(first, second), timeout=30
+                )
+                return (responses, service.stats(),
+                        service.batcher.largest_batch)
+
+        responses, stats, largest = _run(main())
+        assert all(r.ok for r in responses)
+        assert largest == 2
+        assert stats.coalesced_requests == 2
 
 
 class TestSelfTest:

@@ -16,7 +16,7 @@ import pytest
 from repro.core.cdtw import cdtw
 from repro.core.rle import RleSeries
 from repro.runtime import Runtime
-from repro.serve import QueryService
+from repro.serve import QueryService, parse_request
 from tests.conftest import make_series
 
 SERIES = [make_series(20, seed=800 + i) for i in range(6)]
@@ -126,6 +126,25 @@ class TestCoalescing:
         ) as service:
             service.execute_batch(burst)
             assert service.stats().coalesced_requests == 0
+
+    @pytest.mark.parametrize("workers, use_index, params, fusable", [
+        (1, False, {"op": "1nn", "index": False}, False),
+        (2, True, {"op": "1nn"}, False),
+        (2, True, {"op": "1nn", "index": False}, True),
+        (2, False, {"op": "1nn"}, True),
+        (2, False, {"op": "1nn", "index": True}, False),
+        (2, False, {"op": "knn"}, False),
+    ])
+    def test_may_fuse_reads_runtime_op_and_index(
+        self, workers, use_index, params, fusable
+    ):
+        raw = {"dataset": "coll", "band": 3, "query": QUERIES[0], **params}
+        with QueryService(
+            runtime=Runtime(workers=workers), use_index=use_index
+        ) as service:
+            assert service.may_fuse(raw) is fusable
+            assert service.may_fuse(parse_request(raw)) is fusable
+            assert service.may_fuse(["not", "a", "mapping"]) is False
 
     def test_mixed_bands_fuse_separately(self):
         burst = [
