@@ -53,7 +53,7 @@ def _warm_speedup(backend: str, count: int, length: int,
         )
 
     serial = time_callable(lambda: run(1), repeats, warmup=0)
-    # one-shot pools first, untimed: a fresh process's first pool runs
+    # call-scoped pools first, untimed: a fresh process's first pool runs
     # slow for about a second, which would be charged to the executor
     time_callable(lambda: run(WORKERS), repeats, warmup=0)
     with BatchExecutor(workers=WORKERS, cap=None) as exe:

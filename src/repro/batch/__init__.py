@@ -3,14 +3,16 @@
 The paper's repeated-use workloads (all-pairs matrices, 1-NN scans,
 LOOCV, clustering) decompose into thousands of independent pairwise
 calls.  :func:`batch_distances` runs such a batch over a
-``multiprocessing`` pool with cost-model chunk scheduling
+:class:`BatchExecutor` pool with cost-model chunk scheduling
 (:mod:`repro.batch.schedule`), per-worker series-artefact caching,
 deterministic result ordering and merged DP-cell accounting;
 ``workers=1`` (the default everywhere) is the exact serial
-computation.  For repeated-use workloads, :class:`BatchExecutor`
-keeps a warm pool alive across calls and ships each dataset once
-over shared memory (:mod:`repro.batch.shm`) -- pass it (or
-``"default"``) as ``executor=`` to any batch entry point.  The
+computation, and ``workers=N`` alone builds a pool scoped to the
+call.  For repeated-use workloads, a long-lived
+:class:`BatchExecutor` keeps its pool warm across calls and ships
+each dataset once over shared memory (:mod:`repro.batch.shm`) --
+pass it (or ``"default"``) as ``executor=`` to any batch entry
+point.  The
 serial-vs-parallel equivalence contract is enforced by the property
 suite in ``tests/batch/``.
 """
@@ -23,7 +25,6 @@ from .engine import (
     argmin_first,
     batch_distances,
     batch_lb_keogh,
-    default_chunksize,
 )
 from .executor import (
     BatchExecutor,
@@ -47,7 +48,6 @@ __all__ = [
     "batch_distances",
     "batch_lb_keogh",
     "chunk_cost_summary",
-    "default_chunksize",
     "default_executor",
     "distance_pair_cost",
     "lb_pair_cost",

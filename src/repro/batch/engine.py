@@ -7,7 +7,9 @@ This module executes such a batch as a first-class job:
 
 * work arrives as index **pairs** into a shared series list, so each
   series is shipped to each worker once, not once per pair;
-* pairs are **chunked** and fanned out over a ``multiprocessing`` pool
+* pairs are **chunked** by predicted DP cells and fanned out over a
+  :class:`~repro.batch.executor.BatchExecutor` pool -- the runtime's
+  executor, or one scoped to the call when it names none
   (``workers=1``, the default, runs in-process with zero pool
   overhead and is the exact serial computation);
 * each worker holds a :class:`~repro.batch.cache.SeriesCache`, so
@@ -42,9 +44,8 @@ over both backends.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-import math
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -173,27 +174,6 @@ def all_pairs(k: int) -> List[Pair]:
     return list(itertools.combinations(range(k), 2))
 
 
-def default_chunksize(n_tasks: int, workers: int) -> int:
-    """The legacy pair-count heuristic: ~4 chunks per worker.
-
-    Large enough to amortise IPC per pair, small enough that a slow
-    chunk cannot leave workers idle for long -- but blind to how much
-    each pair actually costs, which is why ``chunksize="auto"`` (the
-    default) now plans by predicted DP cells instead
-    (:mod:`repro.batch.schedule`).  Reachable via
-    ``chunksize="legacy"``; for uniform-length single-measure batches
-    the two plans coincide.
-
-    >>> default_chunksize(100, 4)
-    7
-    >>> default_chunksize(3, 8)
-    1
-    """
-    if n_tasks < 0 or workers < 1:
-        raise ValueError("need n_tasks >= 0 and workers >= 1")
-    return max(1, math.ceil(n_tasks / (workers * 4)))
-
-
 def argmin_first(values: Sequence[float]) -> Tuple[int, float]:
     """Index and value of the minimum, first index winning ties.
 
@@ -215,26 +195,41 @@ def argmin_first(values: Sequence[float]) -> Tuple[int, float]:
 
 # -- worker-side machinery ------------------------------------------------
 #
-# Pool workers cannot receive closures, so each worker rebuilds its
-# context (series cache + dispatch callable) from picklable pieces in
-# the pool initializer and parks it in a module global.
+# Each worker builds its context (series cache + dispatch callable)
+# from the job's description: the executor's workers keep one per
+# (kind, dataset, params), a one-job pool builds its only one in the
+# initializer, and the serial path builds one in-process.
+
+def _stacked(kind: str, params) -> bool:
+    """Do the chunk kernels run this job, whole chunks per call?"""
+    if kind == "distance":
+        return params.vectorizable()
+    return params[2] == "numpy"  # (band, squared, backend)
+
 
 class _WorkerContext:
+    """One job's worker state: a series cache plus its dispatch.
+
+    ``params`` is the job's picklable description: a
+    :class:`BatchSpec` for a ``"distance"`` job, ``(band, squared,
+    backend)`` for an ``"lb"`` job.
+    """
+
     __slots__ = (
         "cache", "spec", "fn", "vectorize", "lb_band", "lb_squared",
-        "lb_backend", "traced", "arrays", "_np",
+        "traced", "arrays", "_np",
     )
 
-    def __init__(self, series, spec=None, lb_band=None, lb_squared=True,
-                 lb_backend="python", traced=False, arrays=None):
+    def __init__(self, kind: str, series, params, arrays=None):
         self.cache = SeriesCache(series)
-        self.spec = spec
-        self.fn = spec.make_fn() if spec is not None else None
-        self.vectorize = spec.vectorizable() if spec is not None else False
-        self.lb_band = lb_band
-        self.lb_squared = lb_squared
-        self.lb_backend = lb_backend
-        self.traced = traced
+        if kind == "distance":
+            self.spec, self.fn = params, params.make_fn()
+            self.lb_band = self.lb_squared = None
+        else:
+            self.spec = self.fn = None
+            self.lb_band, self.lb_squared, _ = params
+        self.vectorize = _stacked(kind, params)
+        self.traced = False
         # optional zero-copy float64 views of the series (the shm
         # executor's datasets are already packed), seeding the numpy
         # artefact cache without a per-series conversion
@@ -245,6 +240,17 @@ class _WorkerContext:
         if self._np is None:
             self._np = _NpArtifacts(self.cache, self.spec, self.arrays)
         return self._np
+
+    def compute(self, chunk: Sequence[Pair]) -> list:
+        """The outputs of ``chunk``'s pairs, in chunk order."""
+        stacked = self.vectorize and len(chunk) > 0
+        if self.spec is not None:
+            if stacked:
+                return _compute_chunk_vectorized(self, chunk)
+            return [_compute_pair(self, i, j) for i, j in chunk]
+        if stacked:
+            return _compute_lb_chunk_vectorized(self, chunk)
+        return [_compute_lb(self, i, j) for i, j in chunk]
 
 
 class _NpArtifacts:
@@ -349,27 +355,6 @@ class _NpArtifacts:
         return xs[:padded], ys[:padded], padded - len(pairs)
 
 
-_CONTEXT: Optional[_WorkerContext] = None
-
-
-def _init_distance_worker(series, spec, traced=False):
-    global _CONTEXT
-    # a forked worker inherits the parent's active RunTrace object; it
-    # must never record into that copy (the parent merges snapshots
-    # instead), so the observability state is always cleared here
-    _obs.reset()
-    _CONTEXT = _WorkerContext(series, spec=spec, traced=traced)
-
-
-def _init_lb_worker(series, band, squared, backend, traced=False):
-    global _CONTEXT
-    _obs.reset()
-    _CONTEXT = _WorkerContext(
-        series, lb_band=band, lb_squared=squared, lb_backend=backend,
-        traced=traced,
-    )
-
-
 def _compute_pair(ctx: _WorkerContext, i: int, j: int):
     if ctx.spec.normalize:
         x, y = ctx.cache.normalized(i), ctx.cache.normalized(j)
@@ -424,34 +409,6 @@ def _compute_chunk_vectorized(ctx: _WorkerContext, chunk: Sequence[Pair]):
     return out
 
 
-def _distance_chunk_outputs(ctx: _WorkerContext, chunk: Sequence[Pair]):
-    """Run one distance chunk against an explicit context.
-
-    Shared by the one-shot pool path (context parked in the module
-    global by the initializer) and the persistent executor (contexts
-    cached per dataset fingerprint) -- the per-pair computation is one
-    code path regardless of how the context got there.
-    """
-    before = ctx.cache.stats()
-    if ctx.traced:
-        with _obs.RunTrace(label="batch-worker") as wtrace:
-            wtrace.incr("pool.chunks")
-            if ctx.vectorize:
-                out = _compute_chunk_vectorized(ctx, chunk)
-            else:
-                out = [_compute_pair(ctx, i, j) for i, j in chunk]
-        return out, ctx.cache.stats() - before, wtrace.snapshot()
-    if ctx.vectorize:
-        out = _compute_chunk_vectorized(ctx, chunk)
-    else:
-        out = [_compute_pair(ctx, i, j) for i, j in chunk]
-    return out, ctx.cache.stats() - before, None
-
-
-def _run_distance_chunk(chunk: Sequence[Pair]):
-    return _distance_chunk_outputs(_CONTEXT, chunk)
-
-
 def _compute_lb(ctx: _WorkerContext, i: int, j: int) -> float:
     env = ctx.cache.envelope(i, ctx.lb_band)
     _obs.incr("lb.invocations")
@@ -495,27 +452,21 @@ def _compute_lb_chunk_vectorized(ctx: _WorkerContext, chunk: Sequence[Pair]):
     return out
 
 
-def _lb_chunk_outputs(ctx: _WorkerContext, chunk: Sequence[Pair]):
-    """Run one LB_Keogh chunk against an explicit context (see
-    :func:`_distance_chunk_outputs`)."""
+def _chunk_outputs(ctx: _WorkerContext, chunk: Sequence[Pair]):
+    """Run one chunk in an executor worker.
+
+    Returns ``(outputs, cache_delta, snapshot)``: the chunk's outputs,
+    the cache hits/misses it caused, and -- when the job is traced --
+    a snapshot of the worker's private trace for the parent to merge
+    (``None`` otherwise).
+    """
     before = ctx.cache.stats()
-    if ctx.traced:
-        with _obs.RunTrace(label="batch-worker") as wtrace:
-            wtrace.incr("pool.chunks")
-            if ctx.lb_backend == "numpy":
-                out = _compute_lb_chunk_vectorized(ctx, chunk)
-            else:
-                out = [_compute_lb(ctx, i, j) for i, j in chunk]
-        return out, ctx.cache.stats() - before, wtrace.snapshot()
-    if ctx.lb_backend == "numpy":
-        out = _compute_lb_chunk_vectorized(ctx, chunk)
-    else:
-        out = [_compute_lb(ctx, i, j) for i, j in chunk]
-    return out, ctx.cache.stats() - before, None
-
-
-def _run_lb_chunk(chunk: Sequence[Pair]):
-    return _lb_chunk_outputs(_CONTEXT, chunk)
+    if not ctx.traced:
+        return ctx.compute(chunk), ctx.cache.stats() - before, None
+    with _obs.RunTrace(label="batch-worker") as wtrace:
+        wtrace.incr("pool.chunks")
+        out = ctx.compute(chunk)
+    return out, ctx.cache.stats() - before, wtrace.snapshot()
 
 
 def _record_cache_stats(trace, stats: CacheStats) -> None:
@@ -524,17 +475,6 @@ def _record_cache_stats(trace, stats: CacheStats) -> None:
     trace.incr("cache.envelope_misses", stats.envelope_misses)
     trace.incr("cache.znorm_hits", stats.znorm_hits)
     trace.incr("cache.znorm_misses", stats.znorm_misses)
-
-
-def _pick_context(start_method: Optional[str]):
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
-    methods = multiprocessing.get_all_start_methods()
-    # fork is far cheaper per pool and inherits the parent's modules;
-    # platforms without it (e.g. Windows) fall back to spawn.
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
 
 
 def _canonical_series(series):
@@ -586,67 +526,60 @@ def _validated_pairs(
     return out
 
 
-def _fan_out(
-    chunks, workers, initializer, initargs, chunk_runner, start_method,
-):
-    """One-shot pool: fork, map the chunks, tear down.
+def _run_job(rt: Runtime, kind: str, params, series_t, task_list,
+             price):
+    """Run one batch job; the one route every entry point takes.
 
-    The series set rides in ``initargs`` (pickled once per worker per
-    call -- the cold cost that :class:`repro.batch.executor.
-    BatchExecutor` exists to amortise away).
+    Returns the outputs in input pair order, the merged
+    :class:`CacheStats` and the number of workers that ran the job.
+
+    A serial runtime (or an empty pair list) computes in-process, and
+    the per-pair hooks report straight into the caller's active trace.
+    Otherwise the job runs on the runtime's executor or, when it names
+    none, on a :class:`~repro.batch.executor.BatchExecutor` scoped to
+    this call, whose pool is built for this one job (the dataset and
+    ``params`` ride in its initializer, so a forked worker needs no
+    pickled cost callable) and shut down on every exit, a worker's
+    error included.  Chunks come from the cell-cost model
+    (:func:`~repro.batch.schedule.plan_chunks`, priced by ``price()``),
+    and the per-chunk cache deltas and trace snapshots merge back into
+    one result.
+
+    Jobs the chunk kernels run amortise their per-wavefront dispatch
+    over every pair in a chunk, so they want the fewest, biggest
+    chunks -- one per worker -- where per-pair dispatch keeps several
+    per worker for dynamic balance.
     """
-    ctx = _pick_context(start_method)
-    with ctx.Pool(
-        processes=workers, initializer=initializer, initargs=initargs
-    ) as pool:
-        # pool.map preserves submission order, so reassembly is a
-        # flatten -- determinism does not depend on worker scheduling.
-        return pool.map(chunk_runner, chunks)
+    if not rt.parallel or not task_list:
+        context = _WorkerContext(kind, series_t, params)
+        return context.compute(task_list), context.cache.stats(), 1
+    from .executor import BatchExecutor
+    from .schedule import OVERSUBSCRIBE, plan_chunks
 
-
-def _resolve_chunks(task_list, workers, chunksize, cost_fn,
-                    oversubscribe=None):
-    """Turn a ``chunksize=`` argument into the actual chunk plan.
-
-    ``None``/``"auto"`` route through the cell-cost model
-    (:func:`repro.batch.schedule.plan_chunks`): chunks of ~equal
-    predicted DP cost, so long-series pairs get small chunks and
-    cheap ones aggregate.  ``"legacy"`` keeps the original blind
-    "~4 chunks per worker" pair-count heuristic
-    (:func:`default_chunksize`) reachable; an ``int`` fixes the pair
-    count per chunk exactly.  Every option flattens back to the input
-    pair order, so the plan never affects results -- only balance.
-
-    ``oversubscribe`` overrides the auto plan's chunks-per-worker
-    target.  The stacked chunk kernels amortise their per-wavefront
-    dispatch over every pair in the chunk, so the vectorised path
-    asks for ``1`` -- the fewest, biggest chunks -- where the
-    per-pair paths keep several chunks per worker for dynamic
-    balance.
-    """
-    if chunksize is None or chunksize == "auto":
-        from .schedule import OVERSUBSCRIBE, plan_chunks
-
-        return plan_chunks(
-            task_list, cost_fn, workers,
-            oversubscribe=(
-                OVERSUBSCRIBE if oversubscribe is None else oversubscribe
-            ),
+    exe = rt.resolved_executor()
+    scoped = exe is None
+    scope = (
+        BatchExecutor(workers=rt.workers, cap=None, use_shm=False)
+        if scoped else contextlib.nullcontext(exe)
+    )
+    trace = _obs.active_trace()
+    with scope as exe:
+        chunks = plan_chunks(
+            task_list, price(), exe.workers,
+            oversubscribe=1 if _stacked(kind, params) else OVERSUBSCRIBE,
         )
-    if chunksize == "legacy":
-        size = default_chunksize(len(task_list), workers)
-    elif isinstance(chunksize, int):
-        if chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
-        size = chunksize
-    else:
-        raise ValueError(
-            "chunksize must be an int >= 1, 'auto', 'legacy' or None, "
-            f"got {chunksize!r}"
+        run = exe._run_once if scoped else exe.run_job
+        results = run(
+            kind, params, series_t, chunks, traced=trace is not None
         )
-    return [
-        task_list[k:k + size] for k in range(0, len(task_list), size)
-    ]
+    outputs: list = []
+    stats = CacheStats()
+    for part, delta, snapshot in results:
+        outputs.extend(part)
+        stats = stats + delta
+        if trace is not None and snapshot is not None:
+            trace.merge(snapshot)
+    return outputs, stats, exe.workers
 
 
 def batch_distances(
@@ -660,8 +593,6 @@ def batch_distances(
     normalize: bool = False,
     return_paths: bool = False,
     workers: Optional[int] = None,
-    chunksize=None,
-    start_method: Optional[str] = None,
     backend: Optional[str] = None,
     executor=None,
     runtime: Optional[Runtime] = None,
@@ -684,16 +615,17 @@ def batch_distances(
     return_paths:
         Also return warping paths (exact measures recover them;
         Euclidean entries are ``None``).
-    workers, chunksize, backend, executor:
+    workers, backend, executor:
         Per-call overrides of the corresponding
         :class:`repro.runtime.Runtime` fields.  The engine *is* the
         execution layer, so these remain its native vocabulary (no
         deprecation here, unlike the consumer entry points); ``None``
         means "defer to ``runtime=`` / the process default".
-    start_method:
-        ``multiprocessing`` start method (default: ``fork`` where
-        available, else ``spawn``).  Ignored when an executor is in
-        play (the executor owns its pool).
+        ``workers > 1`` without an executor runs the job on a
+        :class:`~repro.batch.executor.BatchExecutor` scoped to the
+        call (``fork`` where available); pass
+        ``executor=BatchExecutor(start_method="spawn")`` for another
+        start method, or a warm pool reused across calls.
     runtime:
         The base execution context (see :mod:`repro.runtime`).
         ``None`` uses the process default
@@ -708,7 +640,6 @@ def batch_distances(
     """
     rt = Runtime.resolve(
         runtime, workers=workers, backend=backend, executor=executor,
-        chunksize=chunksize,
     )
     if not series:
         raise ValueError("need at least one series")
@@ -725,24 +656,9 @@ def batch_distances(
         trace.incr("batch.jobs")
         trace.incr("batch.pairs", len(task_list))
 
-    if not rt.parallel or len(task_list) == 0:
-        # in-process: the per-pair hooks report straight into the
-        # parent's active trace, no snapshot round-trip needed
-        context = _WorkerContext(series_t, spec=spec)
-        if context.vectorize and task_list:
-            outcomes = _compute_chunk_vectorized(context, task_list)
-        else:
-            outcomes = [
-                _compute_pair(context, i, j) for i, j in task_list
-            ]
-        stats = context.cache.stats()
-        effective_workers = 1
-    else:
+    def price():
         from .schedule import distance_pair_cost
 
-        exe = rt.resolved_executor()
-        effective = exe.workers if exe is not None else rt.workers
-        lengths = tuple(len(s) for s in series_t)
         run_counts = None
         if spec.measure in RLE_MEASURES:
             # the k*m + l*n cost model needs each series' run count;
@@ -752,41 +668,15 @@ def batch_distances(
             run_counts = tuple(
                 RleSeries.encode(s).run_count for s in series_t
             )
-        chunks = _resolve_chunks(
-            task_list, effective, rt.chunksize,
-            distance_pair_cost(
-                lengths, spec.measure, window=spec.window,
-                band=spec.band, radius=spec.radius,
-                run_counts=run_counts,
-                dims=1 if dims is None else dims,
-            ),
-            # the stacked chunk kernels amortise their per-wavefront
-            # Python dispatch over every pair in the chunk, so the
-            # vectorised path wants the fewest, biggest chunks -- one
-            # per worker -- where per-pair dispatch prefers several
-            # for dynamic balance
-            oversubscribe=1 if spec.vectorizable() else None,
+        return distance_pair_cost(
+            tuple(len(s) for s in series_t), spec.measure,
+            window=spec.window, band=spec.band, radius=spec.radius,
+            run_counts=run_counts, dims=1 if dims is None else dims,
         )
-        if exe is not None:
-            chunk_results = exe.run_job(
-                "distance", spec, series_t, chunks,
-                traced=trace is not None,
-            )
-        else:
-            chunk_results = _fan_out(
-                chunks, rt.workers,
-                _init_distance_worker,
-                (series_t, spec, trace is not None),
-                _run_distance_chunk, start_method,
-            )
-        outcomes = [item for part, _, _ in chunk_results for item in part]
-        stats = CacheStats()
-        for _, delta, snapshot in chunk_results:
-            stats = stats + delta
-            if trace is not None and snapshot is not None:
-                trace.merge(snapshot)
-        effective_workers = effective
 
+    outcomes, stats, used = _run_job(
+        rt, "distance", spec, series_t, task_list, price,
+    )
     if trace is not None:
         _record_cache_stats(trace, stats)
     distances = tuple(d for d, _, _ in outcomes)
@@ -797,7 +687,7 @@ def batch_distances(
         cells_per_pair=cells_per_pair,
         cells=sum(cells_per_pair),
         measure=measure,
-        workers=effective_workers,
+        workers=used,
         cache=stats,
         paths=tuple(p for _, _, p in outcomes) if return_paths else None,
     )
@@ -809,8 +699,6 @@ def batch_lb_keogh(
     band: int = 0,
     squared: bool = True,
     workers: Optional[int] = None,
-    chunksize=None,
-    start_method: Optional[str] = None,
     backend: Optional[str] = None,
     executor=None,
     runtime: Optional[Runtime] = None,
@@ -842,13 +730,11 @@ def batch_lb_keogh(
     """
     rt = Runtime.resolve(
         runtime, workers=workers, backend=backend, executor=executor,
-        chunksize=chunksize,
     )
     if band < 0:
         raise ValueError("band must be non-negative")
     if not series:
         raise ValueError("need at least one series")
-    lb_backend = rt.backend_name
     task_list = _validated_pairs(pairs, len(series))
     series_t, dims = _canonical_series(series)
     if dims is not None:
@@ -861,47 +747,15 @@ def batch_lb_keogh(
         trace.incr("batch.jobs")
         trace.incr("batch.pairs", len(task_list))
 
-    if not rt.parallel or len(task_list) == 0:
-        context = _WorkerContext(
-            series_t, lb_band=band, lb_squared=squared,
-            lb_backend=lb_backend,
-        )
-        if lb_backend == "numpy" and task_list:
-            bounds = _compute_lb_chunk_vectorized(context, task_list)
-        else:
-            bounds = [_compute_lb(context, i, j) for i, j in task_list]
-        stats = context.cache.stats()
-        effective_workers = 1
-    else:
+    def price():
         from .schedule import lb_pair_cost
 
-        exe = rt.resolved_executor()
-        effective = exe.workers if exe is not None else rt.workers
-        lengths = tuple(len(s) for s in series_t)
-        chunks = _resolve_chunks(
-            task_list, effective, rt.chunksize, lb_pair_cost(lengths),
-            oversubscribe=1 if lb_backend == "numpy" else None,
-        )
-        if exe is not None:
-            chunk_results = exe.run_job(
-                "lb", (band, squared, lb_backend), series_t, chunks,
-                traced=trace is not None,
-            )
-        else:
-            chunk_results = _fan_out(
-                chunks, rt.workers,
-                _init_lb_worker,
-                (series_t, band, squared, lb_backend, trace is not None),
-                _run_lb_chunk, start_method,
-            )
-        bounds = [item for part, _, _ in chunk_results for item in part]
-        stats = CacheStats()
-        for _, delta, snapshot in chunk_results:
-            stats = stats + delta
-            if trace is not None and snapshot is not None:
-                trace.merge(snapshot)
-        effective_workers = effective
+        return lb_pair_cost(tuple(len(s) for s in series_t))
 
+    bounds, stats, used = _run_job(
+        rt, "lb", (band, squared, rt.backend_name), series_t,
+        task_list, price,
+    )
     if trace is not None:
         _record_cache_stats(trace, stats)
     zeros = tuple(0 for _ in bounds)
@@ -911,6 +765,6 @@ def batch_lb_keogh(
         cells_per_pair=zeros,
         cells=0,
         measure="lb_keogh",
-        workers=effective_workers,
+        workers=used,
         cache=stats,
     )

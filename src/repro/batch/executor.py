@@ -1,13 +1,17 @@
-"""Persistent shared-memory batch executor: the warm-pool path.
+"""The batch engine's one pool owner: the persistent executor.
 
-The one-shot pool path in :mod:`repro.batch.engine` pays for a fresh
-``multiprocessing.Pool`` -- process startup *plus* re-pickling the
-whole series set through the initializer -- on **every** call.  For
-the paper's repeated-use workloads (kNN, LOOCV, k-means, linkage: the
-same dataset measured thousands of times) that overhead swamps the
+Every parallel batch job runs on a :class:`BatchExecutor`, the only
+place in the package that builds a ``multiprocessing.Pool``.
+:func:`repro.batch.engine.batch_distances` with ``workers > 1`` and
+no executor builds one scoped to the call (its one job rides in the
+pool initializer with the dataset, and the pool is shut down when the
+call returns), and so pays for a fresh pool -- process startup *plus*
+shipping the whole series set -- on **every** call.  For the paper's
+repeated-use workloads (kNN, LOOCV, k-means, linkage: the same
+dataset measured thousands of times) that overhead swamps the
 parallel win.
 
-:class:`BatchExecutor` amortises all three cold costs:
+A long-lived :class:`BatchExecutor` amortises those cold costs:
 
 1. **Warm pool** -- worker processes are created once (lazily, on the
    first job) and reused across calls; ``shutdown()`` / the context
@@ -121,6 +125,11 @@ def _resolve_start_method(start_method: Optional[str]) -> str:
             f"pick from {methods}"
         )
     return start_method
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("distance", "lb"):
+        raise ValueError(f"unknown job kind {kind!r}")
 
 
 def _release_state(state: dict) -> None:
@@ -293,22 +302,20 @@ class BatchExecutor:
             self.stats.pools_reused += 1
             _obs.incr("pool.reused")
             return state["pool"]
-        ctx = multiprocessing.get_context(self.start_method)
         if self.use_shm:
-            initializer, initargs = _init_worker, ()
-        else:
-            fingerprint, series = state["inline"]
-            initializer, initargs = _init_worker_inline, (
-                fingerprint, series,
-            )
-        state["pool"] = ctx.Pool(
+            return self._start_pool(_init_worker, ())
+        return self._start_pool(_init_worker_inline, state["inline"])
+
+    def _start_pool(self, initializer, initargs):
+        ctx = multiprocessing.get_context(self.start_method)
+        self._state["pool"] = ctx.Pool(
             processes=self.workers,
             initializer=initializer,
             initargs=initargs,
         )
         self.stats.pools_created += 1
         _obs.incr("pool.created")
-        return state["pool"]
+        return self._state["pool"]
 
     # -- job execution -----------------------------------------------------
 
@@ -325,48 +332,86 @@ class BatchExecutor:
         ``kind`` is ``"distance"`` (``params`` is a
         :class:`~repro.batch.engine.BatchSpec`) or ``"lb"``
         (``params`` is ``(band, squared, backend)``).  Each returned
-        element is ``(outputs, cache_delta, trace_snapshot)`` exactly
-        like the one-shot pool path produces, so the engine reassembles
-        both identically.
+        element is ``(outputs, cache_delta, trace_snapshot)``; the
+        engine flattens the outputs back into input pair order.
+        ``params`` rides in every task, so it must pickle.
         """
-        if kind not in ("distance", "lb"):
-            raise ValueError(f"unknown job kind {kind!r}")
+        _check_kind(kind)
         with self._lock:
             self._check_usable()
             descriptor = self._ship(series)
             pool = self._ensure_pool()
-            tasks = [
-                (index, kind, descriptor, params, tuple(chunk), traced)
+            job = (kind, descriptor, params)
+            return self._dispatch(pool, [
+                (index, job, tuple(chunk), traced)
                 for index, chunk in enumerate(chunks)
-            ]
-            results: List[Optional[tuple]] = [None] * len(tasks)
-            max_seen = -1
-            steals = 0
+            ])
+
+    def _run_once(
+        self,
+        kind: str,
+        params,
+        series: Sequence[Sequence[float]],
+        chunks: Sequence[Sequence[Pair]],
+        traced: bool = False,
+    ) -> List[tuple]:
+        """Run this executor's only job, then shut it down.
+
+        The route of ``workers > 1`` without an executor.  Returns what
+        :meth:`run_job` returns, but the dataset *and* the job's
+        ``(kind, params)`` ride in the pool initializer, so a forked
+        worker inherits them without pickling (a custom cost callable
+        works as it does serially) and each task carries only its
+        chunk; nothing is packed, fingerprinted or kept for a later
+        job.
+        """
+        _check_kind(kind)
+        with self._lock:
+            self._check_usable()
+            if self._state["pool"] is not None:
+                raise RuntimeError("executor has already run a job")
             try:
-                for index, out, delta, snapshot in pool.imap_unordered(
-                    _exec_task, tasks
-                ):
-                    if index < max_seen:
-                        steals += 1
-                    else:
-                        max_seen = index
-                    results[index] = (out, delta, snapshot)
-            except BaseException:
-                # A worker exception (or a KeyboardInterrupt in this
-                # process) abandons the job mid-drain, leaving tasks
-                # in flight and results uncollected -- a poisoned
-                # pool that the next job would inherit.  Terminate it
-                # and let the next job lazily build a fresh one; the
-                # shm dataset registry is untouched, so residency
-                # (and the ship-once amortisation) survives.
-                self._recycle_pool()
-                raise
-            self.stats.jobs += 1
-            self.stats.chunks += len(tasks)
-            self.stats.steals += steals
-            _obs.incr("sched.chunks", len(tasks))
-            _obs.incr("sched.steals", steals)
-            return results  # fully populated: imap_unordered yielded all
+                pool = self._start_pool(
+                    _init_worker_job, (kind, series, params)
+                )
+                return self._dispatch(pool, [
+                    (index, None, tuple(chunk), traced)
+                    for index, chunk in enumerate(chunks)
+                ])
+            finally:
+                _release_state(self._state)
+
+    def _dispatch(self, pool, tasks) -> List[tuple]:
+        """Schedule ``tasks`` dynamically; results in task order
+        (caller locked)."""
+        results: List[Optional[tuple]] = [None] * len(tasks)
+        max_seen = -1
+        steals = 0
+        try:
+            for index, out, delta, snapshot in pool.imap_unordered(
+                _exec_task, tasks
+            ):
+                if index < max_seen:
+                    steals += 1
+                else:
+                    max_seen = index
+                results[index] = (out, delta, snapshot)
+        except BaseException:
+            # A worker exception (or a KeyboardInterrupt in this
+            # process) abandons the job mid-drain, leaving tasks in
+            # flight and results uncollected -- a poisoned pool that
+            # the next job would inherit.  Terminate it and let the
+            # next job lazily build a fresh one; the shm dataset
+            # registry is untouched, so residency (and the ship-once
+            # amortisation) survives.
+            self._recycle_pool()
+            raise
+        self.stats.jobs += 1
+        self.stats.chunks += len(tasks)
+        self.stats.steals += steals
+        _obs.incr("sched.chunks", len(tasks))
+        _obs.incr("sched.steals", steals)
+        return results  # fully populated: imap_unordered yielded all
 
     def _recycle_pool(self) -> None:
         """Terminate the warm pool after a failed job (caller locked).
@@ -441,7 +486,8 @@ def shutdown_default_executor() -> None:
 def resolve_executor(executor) -> Optional[BatchExecutor]:
     """Normalise an ``executor=`` argument.
 
-    ``None`` stays ``None`` (one-shot pool / serial semantics);
+    ``None`` stays ``None`` (the engine then runs serially, or on an
+    executor scoped to the call);
     ``"default"`` resolves to :func:`default_executor`; a
     :class:`BatchExecutor` passes through.
     """
@@ -463,27 +509,37 @@ def resolve_executor(executor) -> Optional[BatchExecutor]:
 # lazily on the first task that names their fingerprint and persist
 # across jobs; contexts (series cache + dispatch callable) persist per
 # (kind, dataset, params), which is what makes repeated calls warm:
-# envelopes and z-norms computed for call #1 serve call #1000.
+# envelopes and z-norms computed for call #1 serve call #1000.  A
+# one-job pool (:meth:`BatchExecutor._run_once`) instead builds its
+# only context in the initializer, and its tasks name no job.
 
 _MAX_ATTACHED = 4
 _MAX_CONTEXTS = 16
 
 _ATTACHED: "OrderedDict[str, object]" = OrderedDict()
 _CONTEXTS: "OrderedDict[tuple, object]" = OrderedDict()
+_JOB = None  # the one-job pool's context
 
 
 def _init_worker() -> None:
-    global _ATTACHED, _CONTEXTS
+    global _ATTACHED, _CONTEXTS, _JOB
     # a forked worker inherits the parent's active RunTrace and any
     # dataset caches from a previous incarnation; both must be cleared
     _obs.reset()
     _ATTACHED = OrderedDict()
     _CONTEXTS = OrderedDict()
+    _JOB = None
 
 
 def _init_worker_inline(fingerprint: str, series) -> None:
     _init_worker()
     _ATTACHED[fingerprint] = InlineDataset(series, fingerprint)
+
+
+def _init_worker_job(kind: str, series, params) -> None:
+    global _JOB
+    _init_worker()
+    _JOB = _engine._WorkerContext(kind, series, params)
 
 
 def _evict_contexts(fingerprint: str) -> None:
@@ -529,16 +585,9 @@ def _context_for(kind: str, descriptor, params):
                 arrays = dataset.arrays()
             except ImportError:
                 arrays = None
-        if kind == "distance":
-            context = _engine._WorkerContext(
-                series, spec=params, arrays=arrays
-            )
-        else:
-            band, squared, backend = params
-            context = _engine._WorkerContext(
-                series, lb_band=band, lb_squared=squared,
-                lb_backend=backend, arrays=arrays,
-            )
+        context = _engine._WorkerContext(
+            kind, series, params, arrays=arrays
+        )
         _CONTEXTS[key] = context
         while len(_CONTEXTS) > _MAX_CONTEXTS:
             _CONTEXTS.popitem(last=False)
@@ -548,14 +597,11 @@ def _context_for(kind: str, descriptor, params):
 
 
 def _exec_task(task):
-    """One scheduled chunk: resolve warm context, run, tag with index."""
-    index, kind, descriptor, params, chunk, traced = task
-    context = _context_for(kind, descriptor, params)
+    """One scheduled chunk: resolve warm context, run, tag with index.
+
+    ``job`` is ``(kind, descriptor, params)``, or ``None`` on a
+    one-job pool."""
+    index, job, chunk, traced = task
+    context = _JOB if job is None else _context_for(*job)
     context.traced = traced
-    if kind == "distance":
-        out, delta, snapshot = _engine._distance_chunk_outputs(
-            context, chunk
-        )
-    else:
-        out, delta, snapshot = _engine._lb_chunk_outputs(context, chunk)
-    return index, out, delta, snapshot
+    return (index,) + _engine._chunk_outputs(context, chunk)

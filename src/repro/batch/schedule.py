@@ -1,10 +1,10 @@
 """Cost-model chunk planning for the batch engine and executor.
 
-The engine's original ``default_chunksize`` heuristic ("~4 chunks per
-worker") counts *pairs*, but pairs are not equally priced: one
-length-4000 cDTW pair costs as much DP work as hundreds of length-200
-pairs.  A fixed pair count per chunk therefore leaves workers idle
-behind whichever chunk drew the long series.
+A pair-count split ("~4 chunks per worker") treats pairs as equally
+priced, but they are not: one length-4000 cDTW pair costs as much DP
+work as hundreds of length-200 pairs.  A fixed pair count per chunk
+therefore leaves workers idle behind whichever chunk drew the long
+series.  This model is the engine's only chunk plan.
 
 This module prices each pair with the same cell models the rest of
 the repository already trusts --
@@ -18,9 +18,8 @@ the input pair order*, so the engine's deterministic reassembly is
 untouched.
 
 For uniform workloads (equal lengths, one measure) the plan
-degenerates to the legacy heuristic's shape: ~``OVERSUBSCRIBE``
-chunks per worker of equal pair count.  The two only diverge when
-costs do.
+degenerates to a pair-count split's shape: ~``OVERSUBSCRIBE`` chunks
+per worker of equal pair count.  The two only diverge when costs do.
 """
 
 from __future__ import annotations

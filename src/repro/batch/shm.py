@@ -1,8 +1,9 @@
 """Zero-copy dataset shipping over POSIX shared memory.
 
-The batch engine's one-shot pool path pickles the entire series set
-through every pool initializer -- once per *call*, which is exactly
-the amortisation failure the paper's repeated-use discussion warns
+An executor in inline mode ships the entire series set through
+every pool initializer, and the one-job pool the batch engine builds
+for a ``workers=N`` call does so once per *call* -- exactly the
+amortisation failure the paper's repeated-use discussion warns
 about.  This module ships a series set **once** per dataset instead:
 
 * :func:`pack_dataset` flattens the series into one contiguous

@@ -193,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--executor", default=None,
                          help="override the runtime's executor "
                               "('default' = the shared process pool)")
-    runtime.add_argument("--chunksize", default=None,
-                         help="override the chunk policy "
-                              "(int, 'auto' or 'legacy')")
     return parser
 
 
@@ -322,21 +319,10 @@ def cmd_runtime(args) -> int:
 
     from .runtime import Runtime
 
-    chunksize = args.chunksize
-    if chunksize is not None and chunksize not in ("auto", "legacy"):
-        try:
-            chunksize = int(chunksize)
-        except ValueError:
-            print(
-                f"error: --chunksize must be an int, 'auto' or "
-                f"'legacy', got {chunksize!r}",
-                file=sys.stderr,
-            )
-            return 2
     try:
         rt = Runtime.resolve(
             workers=args.workers, backend=args.backend,
-            executor=args.executor, chunksize=chunksize,
+            executor=args.executor,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -99,12 +99,6 @@ class KernelSet:
         (values and abandon decisions).  ``keogh`` optionally supplies
         the full first-pass bounds so a cascade can reuse its
         forward-Keogh stage.
-    rle_block:
-        ``rle_block(T, L, c, h, w) -> (B, R)`` -- bottom row and
-        right column of one constant-cost RLE-DTW block from its
-        boundary arrays (the O(h + w) recurrence of
-        :mod:`repro.core.rle`).  Both backends are bit-identical for
-        all inputs.
 
     The multivariate bounds need no fields of their own: they are
     per-channel sums of the scalar bounds
@@ -117,7 +111,6 @@ class KernelSet:
     envelope_chunk: Callable
     lb_keogh_chunk: Callable
     lb_improved_chunk: Callable
-    rle_block: Callable
 
 
 def _build_python() -> KernelSet:
@@ -125,7 +118,6 @@ def _build_python() -> KernelSet:
     from ..lowerbounds.lb_kim import lb_kim
     from .engine import dp_over_window
     from .multivariate import _resolve_vector_cost
-    from .rle import rle_block_python
 
     def lb_kim_each(query, candidates, cost="squared", tiers=2):
         return [lb_kim(query, c, cost=cost, tiers=tiers)
@@ -226,14 +218,12 @@ def _build_python() -> KernelSet:
         envelope_chunk=envelope_chunk_each,
         lb_keogh_chunk=lb_keogh_chunk_each,
         lb_improved_chunk=lb_improved_chunk_each,
-        rle_block=rle_block_python,
     )
 
 
 def _build_numpy() -> KernelSet:
     from ..obs import trace as _obs
     from . import numpy_backend as nb
-    from .rle_numpy import rle_block_numpy
 
     def dtw_chunk(xs, ys, window, cost="squared", count=None):
         # the stacked kernel bypasses the per-call dp hooks, so the
@@ -255,7 +245,6 @@ def _build_numpy() -> KernelSet:
         envelope_chunk=nb.envelope_chunk,
         lb_keogh_chunk=nb.lb_keogh_chunk,
         lb_improved_chunk=nb.lb_improved_chunk,
-        rle_block=rle_block_numpy,
     )
 
 

@@ -92,7 +92,7 @@ def distance_matrix(
         Local cost name.
     runtime:
         The execution context -- kernel backend, worker count,
-        executor, chunk policy -- per :mod:`repro.runtime` (``None``
+        executor -- per :mod:`repro.runtime` (``None``
         = the process default; built-in default is the in-process
         serial computation).  Results are identical for every
         context; only the wall-clock changes.

@@ -85,16 +85,16 @@ def measure_fn(
         Ask the exact measures to also recover the warping path (the
         fastdtw measures always return one; Euclidean has none).
     backend:
-        Kernel backend for the exact DP measures (``"dtw"``/``"cdtw"``,
-        the multivariate measures and ``"rle_dtw"``), resolved via
+        Kernel backend for the exact DP measures (``"dtw"``/``"cdtw"``
+        and the multivariate measures), resolved via
         :func:`repro.core.kernels.resolve_backend` (``None`` = the
         process default).  On ``"numpy"`` a plain distance is a
         one-pair stacked kernel call, which requires a named ``cost``;
         a path comes from the pure engine on every backend
         (:func:`repro.core.kernels.stacked_kernels`).  Distances,
-        cells and paths are bit-identical across backends.  The
-        fastdtw measures and Euclidean always run their reference
-        implementations.
+        cells and paths are bit-identical across backends.
+        ``"rle_dtw"``, the fastdtw measures and Euclidean always run
+        their reference implementations.
 
     Returns
     -------
@@ -105,12 +105,14 @@ def measure_fn(
     validate_measure(measure)
     from .kernels import resolve_backend, stacked_kernels
 
+    if measure == "cdtw" and (window is None) == (band is None):
+        raise ValueError("specify exactly one of window= or band=")
     resolved = resolve_backend(backend)
     if measure == "rle_dtw":
         from .rle import rle_dtw
 
         return lambda x, y: rle_dtw(
-            x, y, cost=cost, return_path=return_path, backend=resolved
+            x, y, cost=cost, return_path=return_path
         )
     if measure in ND_MEASURES:
         return _nd_measure_fn(
@@ -156,9 +158,6 @@ def _kernel_measure_fn(
     exactly (same validation, same memoised window constructors).
     """
     from .validate import validate_pair
-
-    if measure == "cdtw" and (window is None) == (band is None):
-        raise ValueError("specify exactly one of window= or band=")
 
     def fn(x, y):
         validate_pair(x, y)

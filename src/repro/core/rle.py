@@ -34,7 +34,7 @@ computable in ``O(h + w)`` per block with a monotone deque (g1) and
 running prefix/suffix minima (g2-g4); the right column is the same
 computation with roles swapped.  The corner cell belongs to both; this
 implementation canonically assigns it the bottom-row expression so
-propagation is deterministic and backend-invariant.
+propagation is deterministic.
 
 Exactness regime
 ----------------
@@ -45,9 +45,7 @@ below ``2**6``, lengths below ``2**13`` keep every partial sum within
 float64's 53 bits) -- both forms are **bit-identical**, and the
 property suites pin that down.  For arbitrary floats the two forms may
 differ in final ulps (documented; ``RleSeries.exactness_grid`` checks
-for such a grid); the *python vs numpy* block kernels are
-bit-identical for all inputs because they evaluate the same elementary
-expressions.
+for such a grid).
 
 Cell accounting: each block charges ``h + w`` cells (its computed
 boundary), summing to exactly ``k*m + l*n`` -- also the
@@ -224,8 +222,7 @@ def rle_block_python(
     corner); ``c`` the block's local cost.  Returns ``(B, R)`` with
     ``B[s-1] = D(h, s)`` and ``R[r-1] = D(r, w)`` in block-relative
     coordinates.  The corner ``R[h-1]`` is canonically assigned
-    ``B[w-1]``.  This is the ``KernelSet.rle_block`` contract; the
-    NumPy twin is bit-identical for all inputs.
+    ``B[w-1]``.
     """
     B = _boundary_row(T, L, c, h, w)
     R = _boundary_row(L, T, c, w, h)
@@ -293,7 +290,6 @@ def _rle_dp(
     rx: RleSeries,
     ry: RleSeries,
     cost_fn,
-    block_fn,
     keep_blocks: bool,
 ):
     """Sweep all ``k x l`` blocks; returns ``(distance, cells, blocks)``.
@@ -329,8 +325,7 @@ def _rle_dp(
             T = row_bound[left:left + w + 1]
             if q == 0:
                 L = [row_bound[0]] + [inf] * h
-            B, R = block_fn(T, L, c, h, w)
-            B, R = list(B), list(R)
+            B, R = rle_block_python(T, L, c, h, w)
             cells += h + w
             if keep_blocks:
                 blocks[(p, q)] = (T, L, c, h, w, top, left)
@@ -403,18 +398,11 @@ def _blocks_path(blocks: Dict, rx: RleSeries, ry: RleSeries) -> WarpingPath:
 # -- public measures -------------------------------------------------------
 
 
-def _block_kernel(backend: Optional[str]):
-    from .kernels import get_kernels
-
-    return get_kernels(backend).rle_block
-
-
 def rle_dtw(
     x: RleLike,
     y: RleLike,
     cost: CostLike = "squared",
     return_path: bool = False,
-    backend: Optional[str] = None,
 ) -> DtwResult:
     """Exact full DTW on run-length-encoded series in O(k*m + l*n).
 
@@ -430,20 +418,19 @@ def rle_dtw(
     block recurrence rests on, so it is rejected.
     """
     rx, ry = as_rle(x, "series x"), as_rle(y, "series y")
-    block_fn = _block_kernel(backend)
     trace = _obs._ACTIVE
     if trace is None:
-        return _rle_dtw_impl(rx, ry, cost, return_path, block_fn)
+        return _rle_dtw_impl(rx, ry, cost, return_path)
     with _obs.span("dp"):
-        result = _rle_dtw_impl(rx, ry, cost, return_path, block_fn)
+        result = _rle_dtw_impl(rx, ry, cost, return_path)
     _obs.record_dp(trace, result)
     trace.incr("rle.runs", rx.run_count + ry.run_count)
     trace.incr("rle.block_cells", result.cells)
     return result
 
 
-def _rle_dtw_impl(rx, ry, cost, return_path, block_fn):
+def _rle_dtw_impl(rx, ry, cost, return_path):
     fn = resolve_cost(cost)
-    distance, cells, blocks = _rle_dp(rx, ry, fn, block_fn, return_path)
+    distance, cells, blocks = _rle_dp(rx, ry, fn, return_path)
     path = _blocks_path(blocks, rx, ry) if return_path else None
     return DtwResult(distance, path, cells, cost_name(cost))

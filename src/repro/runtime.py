@@ -2,8 +2,8 @@
 
 PRs 1-4 each added an orthogonal execution knob -- ``workers=`` (the
 batch pool), ``backend=`` (the kernel registry), ``executor=`` (the
-persistent warm pool), ``chunksize=`` (the scheduling policy) -- and
-threaded it by hand through every consumer signature.  This module
+persistent warm pool) -- and threaded it by hand through every
+consumer signature.  This module
 replaces that knob soup with a single frozen :class:`Runtime` value
 that carries the full execution context, and a single resolution
 point, :meth:`Runtime.resolve`, that merges
@@ -12,7 +12,7 @@ point, :meth:`Runtime.resolve`, that merges
 2. the process default set via :func:`set_default_runtime` or the
    scoped :func:`use_runtime` context manager,
 3. environment seeding (``REPRO_WORKERS``, ``REPRO_BACKEND``,
-   ``REPRO_EXECUTOR``, ``REPRO_CHUNKSIZE``),
+   ``REPRO_EXECUTOR``),
 4. the built-in serial pure-python default.
 
 Consumers (classification, clustering, search, anomaly/motif
@@ -51,7 +51,6 @@ ENV_VARS = (
     "REPRO_BACKEND",
     "REPRO_WORKERS",
     "REPRO_EXECUTOR",
-    "REPRO_CHUNKSIZE",
 )
 
 
@@ -68,17 +67,16 @@ class Runtime:
         still scopes underneath).
     workers:
         Worker processes for batched fan-out (``1`` = in-process
-        serial, the exact reference computation).
+        serial, the exact reference computation).  Without an
+        executor, each parallel batch call runs on a
+        :class:`repro.batch.executor.BatchExecutor` scoped to the call.
     executor:
-        ``None`` (one-shot pools), ``"default"`` (the process-wide
+        ``None`` (a pool per call when ``workers > 1``), ``"default"``
+        (the process-wide
         :func:`repro.batch.executor.default_executor`), or a
         :class:`repro.batch.executor.BatchExecutor` instance.  An
         executor implies the batched path and supplies the pool, so
         its worker count wins over ``workers``.
-    chunksize:
-        Chunk-planning policy for batch jobs: ``None``/``"auto"``
-        (cell-cost model), ``"legacy"`` (pair-count heuristic), or an
-        ``int`` fixing pairs per chunk.  Balance only; never results.
     trace:
         An optional :class:`repro.obs.RunTrace` to activate around
         work run under :meth:`activate` -- carried so one value can
@@ -90,7 +88,6 @@ class Runtime:
     backend: Optional[str] = None
     workers: int = 1
     executor: object = None
-    chunksize: object = None
     trace: object = None
 
     def __post_init__(self) -> None:
@@ -104,13 +101,6 @@ class Runtime:
             from .core.kernels import resolve_backend
 
             resolve_backend(self.backend)
-        cs = self.chunksize
-        if cs is not None and cs not in ("auto", "legacy"):
-            if not isinstance(cs, int) or isinstance(cs, bool) or cs < 1:
-                raise ValueError(
-                    "chunksize must be an int >= 1, 'auto', 'legacy' "
-                    f"or None, got {cs!r}"
-                )
         if self.executor is not None and self.executor != "default":
             from .batch.executor import BatchExecutor
 
@@ -146,7 +136,7 @@ class Runtime:
         return get_kernels(self.backend)
 
     def resolved_executor(self):
-        """The concrete executor, or ``None`` (one-shot semantics)."""
+        """The concrete executor, or ``None`` (none named)."""
         from .batch.executor import resolve_executor
 
         return resolve_executor(self.executor)
@@ -182,7 +172,6 @@ class Runtime:
         workers: Optional[int] = None,
         backend: Optional[str] = None,
         executor: object = None,
-        chunksize: object = None,
         trace: object = None,
     ) -> "Runtime":
         """The one resolution point: base context + per-call overrides.
@@ -205,7 +194,6 @@ class Runtime:
                 ("workers", workers),
                 ("backend", backend),
                 ("executor", executor),
-                ("chunksize", chunksize),
                 ("trace", trace),
             )
             if value is not None
@@ -242,7 +230,7 @@ class Runtime:
 
         Powers ``python -m repro runtime``, the execution-stack
         doctor: requested vs resolved backend, worker count, executor
-        state including shared-memory residency, chunk policy.
+        state including shared-memory residency.
         """
         executor = None
         if self.executor is not None:
@@ -262,9 +250,6 @@ class Runtime:
             "backend_resolved": self.backend_name,
             "workers": self.workers,
             "executor": executor,
-            "chunksize": (
-                "auto" if self.chunksize is None else self.chunksize
-            ),
             "parallel": self.parallel,
             "traced": self.trace is not None,
         }
@@ -296,18 +281,6 @@ def _runtime_from_env() -> Runtime:
                 f"REPRO_EXECUTOR must be 'default', got {executor!r}"
             )
         kwargs["executor"] = "default"
-    chunksize = os.environ.get("REPRO_CHUNKSIZE")
-    if chunksize:
-        if chunksize in ("auto", "legacy"):
-            kwargs["chunksize"] = chunksize
-        else:
-            try:
-                kwargs["chunksize"] = int(chunksize)
-            except ValueError:
-                raise ValueError(
-                    "REPRO_CHUNKSIZE must be an int, 'auto' or "
-                    f"'legacy', got {chunksize!r}"
-                )
     return Runtime(**kwargs)
 
 

@@ -101,6 +101,7 @@ class MicroBatcher:
         self.requests += 1
         if self._drainer is None or self._drainer.done():
             self._drainer = loop.create_task(self._drain())
+            self._drainer.add_done_callback(self._drained)
         return await future
 
     def _holds_window(self) -> bool:
@@ -146,14 +147,19 @@ class MicroBatcher:
                     if not future.done():
                         future.set_result(response)
         except asyncio.CancelledError:
-            self._closed = True
-            _fail(
-                batch + self._pending,
-                "micro-batcher cancelled before this request's batch "
-                "completed",
-            )
-            self._pending.clear()
+            _fail(batch, _CANCELLED)
             raise
+
+    def _drained(self, task: "asyncio.Task") -> None:
+        """Close, and fail the queue, when the drain task was cancelled.
+
+        A done callback rather than :meth:`_drain`'s handler: a task
+        cancelled before its first step never enters the coroutine.
+        """
+        if task.cancelled():
+            self._closed = True
+            _fail(self._pending, _CANCELLED)
+            self._pending.clear()
 
     async def close(self) -> None:
         """Refuse new submissions, then drain everything in flight."""
@@ -164,6 +170,11 @@ class MicroBatcher:
     @property
     def closed(self) -> bool:
         return self._closed
+
+
+_CANCELLED = (
+    "micro-batcher cancelled before this request's batch completed"
+)
 
 
 def _fail(

@@ -7,10 +7,11 @@ enqueues into the next batch and resolves with that request's
 response; the batcher holds a collection window only while a request
 the service may fuse (:meth:`QueryService.may_fuse`) is queued.
 Shutdown ordering is the documented contract:
-**stop accepting -> drain the batcher -> close the service** (which
-shuts the owned executor down and unlinks its shm segments) -- so no
-in-flight request ever sees a closed executor and no segment outlives
-the process's interest in it.
+**stop accepting -> drain the batcher -> close the open connections
+-> close the service** (which shuts the owned executor down and
+unlinks its shm segments) -- so no in-flight request ever sees a
+closed executor, no accepted connection outlives the service, and no
+segment outlives the process's interest in it.
 
 The socket protocol is newline-delimited JSON, one object per line:
 
@@ -45,6 +46,11 @@ __all__ = ["AsyncQueryService", "run_server", "serve"]
 #: default stream limit, named so the over-long-line error can cite it)
 _MAX_LINE_BYTES = 2 ** 16
 
+#: Seconds :meth:`AsyncQueryService.close` lets the open connections
+#: flush their queued answers before it aborts them (a client that
+#: stopped reading would otherwise hold the close forever)
+_CLOSE_GRACE_S = 5.0
+
 
 class AsyncQueryService:
     """Async wrapper: micro-batched queries over a sync service.
@@ -72,6 +78,9 @@ class AsyncQueryService:
             max_batch=max_batch, may_fuse=self.service.may_fuse,
         )
         self.window_ms = window_ms
+        # writers of the socket connections being served: close()
+        # ends them after the drain, so none outlives the service
+        self._connections: set = set()
 
     async def query(
         self, request: Union[QueryRequest, Mapping[str, Any]]
@@ -89,8 +98,23 @@ class AsyncQueryService:
         return self.service.stats()
 
     async def close(self) -> None:
-        """Shutdown ordering: refuse -> drain batcher -> close service."""
+        """Shutdown ordering: refuse -> drain batcher -> close
+        connections -> close service.
+
+        A connection whose queued answers have not flushed within
+        :data:`_CLOSE_GRACE_S` is aborted, so the service closes even
+        when a client has stopped reading.
+        """
         await self.batcher.close()
+        closing = {}
+        for writer in list(self._connections):
+            writer.close()
+            closing[asyncio.ensure_future(writer.wait_closed())] = writer
+        if closing:
+            _, stuck = await asyncio.wait(closing, timeout=_CLOSE_GRACE_S)
+            for waiter in stuck:
+                closing[waiter].transport.abort()
+            await asyncio.gather(*closing, return_exceptions=True)
         self.service.close()
 
     async def __aenter__(self) -> "AsyncQueryService":
@@ -164,6 +188,7 @@ async def _handle_connection(
         await respond(response.to_dict())
 
     tasks = []
+    service._connections.add(writer)
     try:
         while True:
             try:
@@ -192,7 +217,10 @@ async def _handle_connection(
             # open for later lines only while a fusable 1nn is queued
             tasks.append(asyncio.ensure_future(run_query(obj)))
             tasks = [t for t in tasks if not t.done()]
+    except ConnectionError:
+        pass  # the client went away, or close() aborted the connection
     finally:
+        service._connections.discard(writer)
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         writer.close()

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.batch import (
+    BatchExecutor,
     BatchSpec,
     all_pairs,
     argmin_first,
     batch_distances,
     batch_lb_keogh,
-    default_chunksize,
 )
 from repro.core.cdtw import cdtw
 from repro.core.dtw import dtw
@@ -28,13 +28,6 @@ class TestHelpers:
         assert all_pairs(1) == []
         with pytest.raises(ValueError):
             all_pairs(-1)
-
-    def test_default_chunksize_targets_four_chunks_per_worker(self):
-        assert default_chunksize(160, 4) == 10
-        assert default_chunksize(1, 8) == 1
-        assert default_chunksize(0, 2) == 1
-        with pytest.raises(ValueError):
-            default_chunksize(10, 0)
 
     def test_argmin_first(self):
         assert argmin_first([2.0]) == (0, 2.0)
@@ -141,9 +134,9 @@ class TestBatchDistances:
     def test_spawn_start_method_works(self):
         series = [make_series(10, seed=s) for s in range(3)]
         serial = batch_distances(series, measure="dtw")
-        spawned = batch_distances(
-            series, measure="dtw", workers=2, start_method="spawn"
-        )
+        with BatchExecutor(workers=2, cap=None, start_method="spawn",
+                           use_shm=False) as exe:
+            spawned = batch_distances(series, measure="dtw", executor=exe)
         assert spawned.distances == serial.distances
 
 

@@ -15,7 +15,14 @@ import random
 
 import pytest
 
-from repro.batch import all_pairs, argmin_first, batch_distances
+from repro.batch import (
+    BatchExecutor,
+    BatchSpec,
+    all_pairs,
+    argmin_first,
+    batch_distances,
+    batch_lb_keogh,
+)
 from repro.core.measures import MEASURES, ND_MEASURES
 
 WORKER_COUNTS = (1, 2, 4)
@@ -90,19 +97,6 @@ class TestDistancesAndCells:
             assert result.cells == serial.cells
             assert result.pairs == serial.pairs
 
-    @pytest.mark.parametrize("measure", ["cdtw", "fastdtw"])
-    def test_chunksize_never_changes_results(self, measure):
-        series = fuzz_series(3, count=6, length=24)
-        kwargs = MEASURE_CONFIGS[measure]
-        serial = batch_distances(series, measure=measure, **kwargs)
-        for chunksize in (1, 2, 7, 100):
-            result = batch_distances(
-                series, measure=measure, workers=2,
-                chunksize=chunksize, **kwargs,
-            )
-            assert result.distances == serial.distances
-            assert result.cells == serial.cells
-
     def test_explicit_pair_order_is_preserved(self):
         series = fuzz_series(4, count=5, length=20)
         # a deliberately scrambled, duplicated pair list
@@ -112,7 +106,7 @@ class TestDistancesAndCells:
         )
         parallel = batch_distances(
             series, pairs=pairs, measure="cdtw", window=0.25,
-            workers=4, chunksize=1,
+            workers=4,
         )
         assert serial.pairs == tuple(pairs) == parallel.pairs
         assert serial.distances == parallel.distances
@@ -130,14 +124,87 @@ class TestDistancesAndCells:
         assert serial.distances == parallel.distances
 
 
+class TestExplicitChunkLists:
+    """Any chunk list reassembles to the serial answers.
+
+    The engine's chunks come from the cost model; the executor must
+    return the same per-pair outputs in input order for *any* split,
+    including one-pair chunks that complete out of order.
+    """
+
+    @staticmethod
+    def run_chunks(exe, series, spec, chunks):
+        results = exe.run_job("distance", spec, series, chunks)
+        return [item for part, _, _ in results for item in part]
+
+    @pytest.mark.parametrize("measure", ["cdtw", "fastdtw"])
+    def test_chunk_lists_never_change_results(self, measure):
+        series = fuzz_series(3, count=6, length=24)
+        kwargs = MEASURE_CONFIGS[measure]
+        serial = batch_distances(series, measure=measure, **kwargs)
+        spec = BatchSpec(measure=measure, **kwargs)
+        pairs = list(serial.pairs)
+        with BatchExecutor(workers=2, cap=None) as exe:
+            for size in (1, 2, 7, 100):
+                chunks = [
+                    pairs[k:k + size] for k in range(0, len(pairs), size)
+                ]
+                outputs = self.run_chunks(exe, series, spec, chunks)
+                assert tuple(d for d, _, _ in outputs) == serial.distances
+                assert sum(c for _, c, _ in outputs) == serial.cells
+
+    def test_one_pair_chunks_under_four_workers(self):
+        series = fuzz_series(4, count=5, length=20)
+        # scrambled and duplicated, one pair per chunk: completions
+        # arrive out of order and must land back in input order
+        pairs = [(3, 1), (0, 4), (2, 2), (0, 4), (1, 0), (4, 3),
+                 (2, 0), (1, 3)]
+        serial = batch_distances(
+            series, pairs=pairs, measure="cdtw", window=0.25
+        )
+        spec = BatchSpec(measure="cdtw", window=0.25)
+        with BatchExecutor(workers=4, cap=None) as exe:
+            for _ in range(3):
+                outputs = self.run_chunks(
+                    exe, series, spec, [[pair] for pair in pairs]
+                )
+                assert (
+                    tuple(d for d, _, _ in outputs) == serial.distances
+                )
+                assert (
+                    tuple(c for _, c, _ in outputs)
+                    == serial.cells_per_pair
+                )
+            assert exe.stats.chunks == 3 * len(pairs)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_lb_chunk_lists_never_change_bounds(self, backend):
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        series = fuzz_series(5, count=6, length=22)
+        serial = batch_lb_keogh(series, band=2, backend=backend)
+        pairs = list(serial.pairs)
+        with BatchExecutor(workers=4, cap=None) as exe:
+            for size in (1, 3, 100):
+                chunks = [
+                    pairs[k:k + size] for k in range(0, len(pairs), size)
+                ]
+                results = exe.run_job(
+                    "lb", (2, True, backend), series, chunks
+                )
+                bounds = [b for part, _, _ in results for b in part]
+                assert tuple(bounds) == serial.distances
+
+
 class TestStartMethodAndExecutorColumns:
     """The same contract across the remaining execution columns.
 
-    ``start_method="spawn"`` (fresh interpreters, everything
-    re-pickled) and a warm :class:`~repro.batch.BatchExecutor`
-    (persistent pool + shared-memory datasets, cold then warm call)
-    are execution details exactly like ``workers``: every column must
-    reproduce the serial distances and cell counts bit for bit.
+    A ``start_method="spawn"`` executor in inline mode (fresh
+    interpreters, the dataset pickled through the pool initializer)
+    and a warm :class:`~repro.batch.BatchExecutor` (persistent pool +
+    shared-memory datasets, cold then warm call) are execution
+    details exactly like ``workers``: every column must reproduce the
+    serial distances and cell counts bit for bit.
     """
 
     @pytest.mark.parametrize("measure", MEASURES)
@@ -145,10 +212,11 @@ class TestStartMethodAndExecutorColumns:
         series = series_for(measure, 21, count=5, length=24)
         kwargs = MEASURE_CONFIGS[measure]
         serial = batch_distances(series, measure=measure, **kwargs)
-        spawned = batch_distances(
-            series, measure=measure, workers=2,
-            start_method="spawn", **kwargs,
-        )
+        with BatchExecutor(workers=2, cap=None, start_method="spawn",
+                           use_shm=False) as exe:
+            spawned = batch_distances(
+                series, measure=measure, executor=exe, **kwargs,
+            )
         assert spawned.distances == serial.distances
         assert spawned.cells_per_pair == serial.cells_per_pair
         assert spawned.cells == serial.cells
@@ -246,7 +314,7 @@ class TestTieBreaking:
         pairs = [(0, i + 1) for i in range(len(candidates))]
         result = batch_distances(
             series, pairs=pairs, measure=measure, workers=workers,
-            chunksize=1, **kwargs,
+            **kwargs,
         )
         idx, best = argmin_first(result.distances)
         # ties exist by construction; the winner must be the first
@@ -272,7 +340,9 @@ class TestDegenerateBatches:
     def test_empty_pair_list(self):
         series = fuzz_series(0, count=3, length=10)
         for workers in WORKER_COUNTS:
-            result = batch_distances(series, pairs=[], workers=workers)
+            result = batch_distances(
+                series, pairs=[], window=0.2, workers=workers
+            )
             assert result.distances == ()
             assert result.cells == 0
             assert result.workers == 1  # nothing to fan out

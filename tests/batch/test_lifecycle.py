@@ -24,6 +24,7 @@ import pytest
 from repro.batch import (
     BatchExecutor,
     batch_distances,
+    batch_lb_keogh,
     default_executor,
     shutdown_default_executor,
 )
@@ -200,6 +201,159 @@ class TestErrorPathPoolRecycling:
                                      executor=exe)
         serial = batch_distances(series, measure="cdtw", band=3)
         assert result.distances == serial.distances
+
+
+#: a sample value :func:`_exploding_cost` refuses
+_POISON = 999.0
+
+
+def _exploding_cost(a, b):
+    """The squared cost, failing on :data:`_POISON` like any error a
+    worker can raise mid-job."""
+    if a == _POISON or b == _POISON:
+        raise ValueError("poisoned sample")
+    return (a - b) * (a - b)
+
+
+def _child_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _shm_names():
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return set(os.listdir("/dev/shm"))
+
+
+class TestCallScopedExecutor:
+    """``workers=N`` without an executor runs on a ``BatchExecutor``
+    scoped to the call, which leaves no process or segment behind on
+    any exit."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every BatchExecutor built while the test runs."""
+        made = []
+        init = BatchExecutor.__init__
+
+        def recording(exe, *args, **kwargs):
+            init(exe, *args, **kwargs)
+            made.append(exe)
+
+        monkeypatch.setattr(BatchExecutor, "__init__", recording)
+        return made
+
+    @pytest.mark.parametrize("entry", ["distances", "lb_keogh"])
+    def test_no_child_or_segment_left(self, entry, made):
+        series = _series(offset=50)
+        children, segments = _child_pids(), _shm_names()
+        if entry == "distances":
+            result = batch_distances(series, band=3, workers=2)
+            serial = batch_distances(series, band=3)
+        else:
+            result = batch_lb_keogh(series, band=3, workers=2)
+            serial = batch_lb_keogh(series, band=3)
+        assert result.distances == serial.distances
+        assert result.workers == 2
+        [exe] = made
+        assert exe.closed and not exe.use_shm
+        assert exe.stats.pools_created == 1
+        assert _child_pids() <= children
+        assert _shm_names() <= segments
+
+    def test_worker_error_still_shuts_the_pool_down(self, made):
+        series = _series(offset=60)
+        series[3] = list(series[3])
+        series[3][5] = _POISON
+        children, segments = _child_pids(), _shm_names()
+        with pytest.raises(ValueError, match="poisoned sample"):
+            batch_distances(series, measure="dtw", cost=_exploding_cost,
+                            workers=2)
+        [exe] = made
+        assert exe.closed
+        assert exe.stats.pools_poisoned == 1
+        assert _child_pids() <= children
+        assert _shm_names() <= segments
+
+    def test_workers_capped_at_eight_per_cpu(self, made, monkeypatch):
+        # the job is refused before dispatch, so no pool is started:
+        # the scoped executor still takes cap=None's bound and still
+        # shuts down on the way out
+        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 1)
+
+        def refuse(exe, *args, **kwargs):
+            raise RuntimeError("dispatch refused")
+
+        monkeypatch.setattr(BatchExecutor, "_run_once", refuse)
+        with pytest.raises(RuntimeError, match="dispatch refused"):
+            batch_distances(_series(), band=3, workers=9)
+        [exe] = made
+        assert exe.workers == 8
+        assert exe.closed
+
+    def test_each_call_builds_and_ends_its_own_pool(self, made):
+        series = _series(offset=70)
+        first = batch_distances(series, band=3, workers=2)
+        second = batch_distances(series, band=3, workers=2)
+        assert first.distances == second.distances
+        assert len(made) == 2
+        assert all(exe.closed for exe in made)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    @pytest.mark.parametrize("measure", ["cdtw", "dtw", "fastdtw"])
+    def test_unpicklable_cost_callable(self, measure, made):
+        # a lambda cannot be pickled; the job rides in the pool
+        # initializer, which a forked worker inherits unpickled
+        series = _series(count=6, offset=80)
+        cost = lambda a, b: abs(a - b)  # noqa: E731
+        kwargs = {"band": 3} if measure == "cdtw" else {}
+        serial = batch_distances(series, measure=measure, cost=cost,
+                                 **kwargs)
+        result = batch_distances(series, measure=measure, cost=cost,
+                                 workers=2, **kwargs)
+        assert result.distances == serial.distances
+        assert result.cells == serial.cells
+        [exe] = made
+        assert exe.closed and exe.stats.pools_created == 1
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    def test_distance_matrix_with_a_closure_cost(self):
+        from repro.core.matrix import distance_matrix
+        from repro.runtime import Runtime
+
+        scale = 0.5
+
+        def cost(a, b):
+            return scale * (a - b) * (a - b)
+
+        series = _series(count=6, offset=90)
+        serial = distance_matrix(series, band=3, cost=cost)
+        parallel = distance_matrix(series, band=3, cost=cost,
+                                   runtime=Runtime(workers=2))
+        assert parallel.values == serial.values
+
+    def test_one_job_pool_ends_with_its_job(self):
+        series = _series(offset=95)
+        with BatchExecutor(workers=2, cap=None, use_shm=False) as exe:
+            results = exe._run_once(
+                "lb", (3, True, "python"), series, [[(0, 1)], [(1, 2)]],
+            )
+            assert exe.closed
+            with pytest.raises(RuntimeError, match="shut down"):
+                exe._run_once("lb", (3, True, "python"), series,
+                              [[(0, 1)]])
+        serial = batch_lb_keogh(series, pairs=[(0, 1), (1, 2)], band=3)
+        assert [out for part, _, _ in results for out in part] == list(
+            serial.distances
+        )
+
+    def test_one_job_route_refuses_a_warm_pool(self):
+        series = _series(offset=97)
+        with BatchExecutor(workers=2, cap=None, use_shm=False) as exe:
+            exe.run_job("lb", (3, True, "python"), series, [[(0, 1)]])
+            with pytest.raises(RuntimeError, match="already run a job"):
+                exe._run_once("lb", (3, True, "python"), series,
+                              [[(0, 1)]])
 
 
 class TestWorkerCountValidation:

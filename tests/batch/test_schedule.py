@@ -4,16 +4,16 @@ The planner's promise is twofold: (1) its per-pair cost predictions
 for the exact measures are the *same* cell counts the DP ends up
 reporting, and (2) regrouping pairs into cost-balanced chunks never
 reorders them -- the flattened plan is always the input pair order.
-Satellite regression: both ``chunksize="auto"`` (cost-model) and
-``chunksize="legacy"`` (the old ~4-chunks-per-worker heuristic) stay
-reachable and produce identical results.
+The cost model is the engine's only chunk plan.
 """
+
+import math
 
 import pytest
 
-from repro.batch import batch_distances
-from repro.batch.engine import _resolve_chunks, default_chunksize
+from repro.batch import BatchExecutor, batch_distances
 from repro.batch.schedule import (
+    OVERSUBSCRIBE,
     chunk_band,
     chunk_cost_summary,
     distance_pair_cost,
@@ -131,10 +131,10 @@ class TestPlanChunks:
 
     def test_uniform_costs_match_legacy_granularity(self):
         # equal costs degrade to ~oversubscribe chunks per worker,
-        # i.e. the legacy heuristic's shape
+        # i.e. the shape of a fixed ceil(pairs / (workers * 4)) split
         pairs = [(0, i) for i in range(1, 33)]
         chunks = plan_chunks(pairs, lambda i, j: 10, workers=2)
-        legacy = default_chunksize(len(pairs), 2)
+        legacy = math.ceil(len(pairs) / (2 * OVERSUBSCRIBE))
         assert all(len(c) <= legacy for c in chunks)
         assert len(chunks) >= len(pairs) // legacy
 
@@ -174,51 +174,37 @@ class TestPlanChunks:
         assert summary["imbalance"] == 1.0
 
 
-class TestChunksizeOptions:
-    """The engine's ``chunksize=`` argument: auto, legacy, int."""
+class TestEngineChunkPlan:
+    """The engine hands the executor the cost model's plan."""
 
-    def test_auto_and_legacy_identical_results(self):
-        series = [make_series(20 + 4 * s, s) for s in range(6)]
-        serial = batch_distances(series, measure="cdtw", band=3)
-        for chunksize in (None, "auto", "legacy", 2):
-            result = batch_distances(
-                series, measure="cdtw", band=3, workers=2,
-                chunksize=chunksize,
-            )
-            assert result.distances == serial.distances
-            assert result.cells == serial.cells
+    def test_engine_plans_by_cost_model(self, monkeypatch):
+        # one long series among short ones: every pair touching it
+        # costs more than all the others together, so the cost model
+        # ends a chunk right after each, which a pair-count split
+        # cannot do
+        series = [make_series(8, s) for s in range(5)]
+        series[2] = make_series(400, 2)
+        plans = []
+        with BatchExecutor(workers=2, cap=None) as exe:
+            run_job = exe.run_job
 
-    def test_legacy_reaches_default_chunksize(self):
-        tasks = [(0, i) for i in range(1, 20)]
-        chunks = _resolve_chunks(tasks, 2, "legacy", lambda i, j: 1)
-        size = default_chunksize(len(tasks), 2)
-        assert all(len(c) == size for c in chunks[:-1])
-        assert [p for c in chunks for p in c] == tasks
+            def recording(kind, params, series_t, chunks, traced=False):
+                plans.append([list(c) for c in chunks])
+                return run_job(kind, params, series_t, chunks,
+                               traced=traced)
 
-    def test_int_chunksize_fixed(self):
-        tasks = [(0, i) for i in range(1, 8)]
-        chunks = _resolve_chunks(tasks, 2, 3, lambda i, j: 1)
-        assert [len(c) for c in chunks] == [3, 3, 1]
-
-    def test_auto_routes_through_cost_model(self):
-        # one huge pair among tiny ones: auto must isolate it, which a
-        # pair-count heuristic cannot do
-        tasks = [(0, 1), (0, 2), (1, 2), (1, 3)]
-        costs = {(0, 1): 1, (0, 2): 1, (1, 2): 10_000, (1, 3): 1}
-        chunks = _resolve_chunks(
-            tasks, 2, "auto", lambda i, j: costs[(i, j)]
+            monkeypatch.setattr(exe, "run_job", recording)
+            result = batch_distances(series, measure="dtw", executor=exe)
+        [chunks] = plans
+        assert [p for c in chunks for p in c] == list(result.pairs)
+        heavy = [pair for pair in result.pairs if 2 in pair]
+        for pair in heavy:
+            chunk = next(c for c in chunks if pair in c)
+            assert chunk[-1] == pair
+        lengths = tuple(len(s) for s in series)
+        assert chunks == plan_chunks(
+            list(result.pairs), distance_pair_cost(lengths, "dtw"), 2
         )
-        heavy = next(c for c in chunks if (1, 2) in c)
-        assert heavy[-1] == (1, 2)
-
-    def test_invalid_chunksize_rejected(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            _resolve_chunks([(0, 1)], 2, 0, lambda i, j: 1)
-        with pytest.raises(ValueError, match="chunksize"):
-            _resolve_chunks([(0, 1)], 2, "bogus", lambda i, j: 1)
-        series = [make_series(16, s) for s in range(3)]
-        with pytest.raises(ValueError, match="chunksize"):
-            batch_distances(series, workers=2, chunksize="bogus")
 
 
 class TestChunkBand:

@@ -3,9 +3,12 @@
 Linux CI defaults to ``fork``, so until now ``spawn`` -- the only
 method on Windows/macOS-default, and the one that exercises real
 pickling of every initializer argument and task -- was never run.
-These tests drive both the one-shot pool path and the persistent
-executor under ``spawn``: shm attach/detach from freshly-started
-interpreters, trace-snapshot merging, and no segment or fd leaks.
+These tests drive the executor under ``spawn`` in both shipping
+modes: inline (the dataset pickled through the pool initializer) and
+shared memory (attach/detach from freshly-started interpreters), plus
+the one-job pool ``workers=N`` builds on a platform without ``fork``
+(the dataset and the job pickled through the initializer), with
+trace-snapshot merging and no segment or fd leaks.
 
 Spawn pools are expensive to start (a fresh interpreter per worker),
 so the executor tests share one module-scoped warm executor.
@@ -18,6 +21,7 @@ import os
 import pytest
 
 from repro.batch import BatchExecutor, batch_distances, batch_lb_keogh
+from repro.batch import executor as executor_mod
 from repro.obs import RunTrace
 from tests.conftest import make_series
 
@@ -38,22 +42,53 @@ def spawn_executor():
     exe.shutdown()
 
 
-class TestOneShotSpawn:
+def _inline_spawn_executor():
+    return BatchExecutor(workers=2, cap=None, start_method="spawn",
+                         use_shm=False)
+
+
+class TestInlineSpawn:
     def test_distances_identical(self):
         series = _series()
         serial = batch_distances(series, measure="cdtw", band=3)
-        spawned = batch_distances(series, measure="cdtw", band=3,
-                                  workers=2, start_method="spawn")
+        with _inline_spawn_executor() as exe:
+            spawned = batch_distances(series, measure="cdtw", band=3,
+                                      executor=exe)
         assert spawned.distances == serial.distances
         assert spawned.cells_per_pair == serial.cells_per_pair
 
     def test_trace_snapshots_merge(self):
         series = _series()
         with RunTrace() as trace:
-            result = batch_distances(series, measure="cdtw", band=3,
-                                     workers=2, start_method="spawn")
+            with _inline_spawn_executor() as exe:
+                result = batch_distances(series, measure="cdtw", band=3,
+                                         executor=exe)
         assert trace.counter("dp.cells") == result.cells
         assert trace.counter("pool.chunks") > 0
+
+    def test_lb_keogh_identical(self):
+        series = _series(offset=5)
+        serial = batch_lb_keogh(series, band=3)
+        with _inline_spawn_executor() as exe:
+            spawned = batch_lb_keogh(series, band=3, executor=exe)
+        assert spawned.distances == serial.distances
+
+
+class TestOneJobSpawn:
+    def test_workers_without_fork(self, monkeypatch):
+        # where fork is missing, the call-scoped executor spawns: the
+        # job's BatchSpec pickles into the initializer with the dataset
+        monkeypatch.setattr(executor_mod, "_resolve_start_method",
+                            lambda method: method or "spawn")
+        series = _series(offset=7)
+        serial = batch_distances(series, measure="cdtw", band=3)
+        with RunTrace() as trace:
+            spawned = batch_distances(series, measure="cdtw", band=3,
+                                      workers=2)
+        assert spawned.distances == serial.distances
+        assert spawned.cells_per_pair == serial.cells_per_pair
+        assert trace.counter("dp.cells") == spawned.cells
+        assert trace.counter("pool.created") == 1
 
 
 class TestSpawnExecutor:

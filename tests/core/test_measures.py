@@ -108,6 +108,31 @@ class TestDispatch:
         assert split_result(3.5) == (3.5, 0, None)
 
 
+class TestCdtwConstraintAtBuild:
+    """``cdtw`` needs exactly one of ``window=``/``band=``, refused
+    when its callable is built, on every backend -- so a batch with
+    no pairs to run is refused too, not answered with ``()``."""
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("constraint", [{}, {"window": 0.1, "band": 2}],
+                             ids=["neither", "both"])
+    def test_measure_fn_refuses_when_built(self, backend, constraint):
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        with pytest.raises(ValueError, match="exactly one"):
+            measure_fn("cdtw", backend=backend, **constraint)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_pair_batch_refuses(self, backend, workers):
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        for series, pairs in (([THREE[0]], None), (THREE, [])):
+            with pytest.raises(ValueError, match="exactly one"):
+                batch_distances(series, pairs=pairs, measure="cdtw",
+                                backend=backend, workers=workers)
+
+
 class TestDistanceSpecFastdtwReference:
     def test_requires_radius(self):
         with pytest.raises(ValueError, match="radius"):

@@ -6,9 +6,9 @@ Three layers of contract:
   (signed zeros included), rejects non-finite input with the
   ``validate.py`` wording, and validates its own construction.
 * **Exactness** -- on the dyadic grid the block DP's distances and
-  cell accounting are ``==``-identical to the dense engine on both
-  kernel backends; the python and numpy block kernels are
-  bit-identical for *all* float inputs.
+  cell accounting are ``==``-identical to the dense engine, and the
+  batch engine's ``rle_dtw`` route keeps that on every backend and
+  pool size.
 * **Cost model** -- cells are exactly ``k*m + l*n`` for the full
   measure, and the adversarial all-runs-length-1 input costs exactly
   twice the dense lattice (the small-constant-overhead guarantee).
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+from math import inf
 
 import pytest
 
@@ -30,7 +31,6 @@ from repro.core.rle import (
     rle_block_python,
     rle_dtw,
 )
-from repro.core.rle_numpy import rle_block_numpy
 from repro.datasets.power import midnight_hour_pair
 from repro.obs import RunTrace
 
@@ -167,24 +167,22 @@ class TestExactnessGrid:
 class TestBitExactAgainstDense:
     """On the dyadic grid: ``==`` on distances and cells, never close."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_full_dtw_agrees(self, backend, seed):
+    def test_full_dtw_agrees(self, seed):
         rng = random.Random(seed)
         x = step_series(rng, 40 + seed * 7)
         y = step_series(rng, 35 + seed * 5)
         dense = dtw(x, y)
-        rle = rle_dtw(x, y, backend=backend)
+        rle = rle_dtw(x, y)
         assert rle.distance == dense.distance
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("cost", ["squared", "abs"])
-    def test_costs_agree(self, backend, cost):
+    def test_costs_agree(self, cost):
         rng = random.Random(11)
         x = step_series(rng, 30)
         y = step_series(rng, 30)
         assert (
-            rle_dtw(x, y, cost=cost, backend=backend).distance
+            rle_dtw(x, y, cost=cost).distance
             == dtw(x, y, cost=cost).distance
         )
 
@@ -276,53 +274,43 @@ class TestPaths:
         assert result.distance == dtw(x, y).distance
 
 
-class TestBackendParity:
-    """python and numpy are bit-identical for ALL floats, not just
-    the exactness grid -- both evaluate the same expressions."""
+def dense_block(T, L, c, h, w):
+    """The block's bottom row and right column by the dense DP:
+    ``D(r, s) = c + min(D(r-1, s), D(r, s-1), D(r-1, s-1))`` over the
+    ``h x w`` cells, with ``T``/``L`` as row 0/column 0."""
+    D = [[inf] * (w + 1) for _ in range(h + 1)]
+    D[0] = list(T)
+    for r in range(1, h + 1):
+        D[r][0] = L[r]
+        for s in range(1, w + 1):
+            D[r][s] = c + min(D[r - 1][s], D[r][s - 1], D[r - 1][s - 1])
+    return D[h][1:], [D[r][w] for r in range(1, h + 1)]
+
+
+class TestBlockKernel:
+    """``rle_block_python`` -- the one block sweep -- against the
+    dense DP over the same block, on the dyadic grid where the two
+    forms are provably ``==``."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_block_kernels_identical(self, seed):
-        rng = random.Random(seed)
-        h, w = rng.randrange(1, 9), rng.randrange(1, 9)
-        corner = rng.uniform(-10, 10)
-        T = [corner] + [rng.uniform(-1e3, 1e3) for _ in range(w)]
-        L = [corner] + [rng.uniform(-1e3, 1e3) for _ in range(h)]
-        c = rng.uniform(0.0, 5.0)
-        assert rle_block_python(T, L, c, h, w) == rle_block_numpy(
-            T, L, c, h, w
-        )
+    def test_matches_dense_block_dp(self, seed):
+        rng = random.Random(300 + seed)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_measures_identical_on_arbitrary_floats(self, seed):
-        rng = random.Random(200 + seed)
+        def entry():
+            # unreachable boundary cells are inf, as in the sweep
+            if rng.random() < 0.15:
+                return inf
+            return rng.randrange(0, 4096) * GRID
 
-        def rough_steps(length):
-            out = []
-            while len(out) < length:
-                out.extend(
-                    [rng.uniform(-5, 5)] * rng.randrange(1, 6)
-                )
-            return out[:length]
-
-        x, y = rough_steps(33), rough_steps(29)
-        py = rle_dtw(x, y, backend="python")
-        np_ = rle_dtw(x, y, backend="numpy")
-        assert py.distance == np_.distance
-        assert py.cells == np_.cells
-
-    def test_measures_identical_on_the_coarse_power_pair(self):
-        x, y = power_pair(POWER_STEPS[-1])
-        py = rle_dtw(x, y, backend="python")
-        np_ = rle_dtw(x, y, backend="numpy")
-        assert py.distance == np_.distance
-        assert py.cells == np_.cells
-
-    def test_kernel_outputs_are_plain_floats(self):
-        # serve answers are JSON-serialised; np.float64 must never
-        # leak out of the numpy kernel
-        B, R = rle_block_numpy([0.0, 1.0, 2.0], [0.0, 3.0], 1.0, 1, 2)
-        for v in B + R:
-            assert type(v) is float
+        for _ in range(200):
+            h, w = rng.randrange(1, 13), rng.randrange(1, 13)
+            corner = rng.randrange(0, 4096) * GRID
+            T = [corner] + [entry() for _ in range(w)]
+            L = [corner] + [entry() for _ in range(h)]
+            c = rng.randrange(0, 512) * GRID  # zero cost included
+            assert rle_block_python(T, L, c, h, w) == dense_block(
+                T, L, c, h, w
+            ), (T, L, c, h, w)
 
 
 class TestBatchPath:
@@ -350,11 +338,9 @@ class TestPoisonedScratch:
     block kernel must read only the declared ``w+1``/``h+1`` boundary
     entries, never scratch beyond them."""
 
-    @pytest.mark.parametrize("kernel", [rle_block_python,
-                                        rle_block_numpy],
-                             ids=["python", "numpy"])
     @pytest.mark.parametrize("poison", [float("nan"), 1e308, -1e308])
-    def test_trailing_poison_never_read(self, kernel, poison):
+    def test_trailing_poison_never_read(self, poison):
+        kernel = rle_block_python
         rng = random.Random(31)
         h, w = 4, 6
         corner = rng.uniform(-5, 5)

@@ -85,7 +85,7 @@ class TestBatchCounterParity:
 
 
 class TestExecutorCounterParity:
-    """The warm-pool path reconciles exactly like the one-shot path."""
+    """A warm executor reconciles exactly like a call-scoped one."""
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_cold_and_warm_parity(self, start_method):

@@ -10,7 +10,11 @@ return exactly what the default call returns.
 refuses ``runtime=`` too.  Two keywords are
 native rather than legacy and must keep working silently: the batch
 engine's own ``batch_distances(..., workers=)`` and the spec-level
-``DistanceSpec(backend=)``.
+``DistanceSpec(backend=)``.  Knobs the engine itself dropped are
+refused the same way: the chunk plan (``chunksize=``, on the batch
+entry points and ``Runtime``), the pool start method
+(``start_method=``, which belongs to ``BatchExecutor``) and
+``rle_dtw``'s kernel ``backend=``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import warnings
 
 import pytest
 
-from repro.batch import BatchExecutor, batch_distances
+from repro.batch import BatchExecutor, batch_distances, batch_lb_keogh
 from repro.classify.knn import (
     DistanceSpec,
     KNearestNeighbors,
@@ -30,6 +34,7 @@ from repro.cluster.dba import dba
 from repro.cluster.kmeans import dtw_kmeans
 from repro.cluster.linkage import linkage_from_series
 from repro.core.matrix import distance_matrix
+from repro.core.rle import rle_dtw
 from repro.lowerbounds.cascade import CascadeBatch
 from repro.runtime import Runtime
 from repro.search.cumulative import cdtw_cumulative_abandon
@@ -179,3 +184,38 @@ def test_spec_backend_is_spec_level_not_deprecated():
         spec = DistanceSpec("cdtw", window=0.2, backend="numpy")
         clf = OneNearestNeighbor(spec).fit(SERIES, LABELS)
         assert clf.predict([QUERY]) == plain.predict([QUERY])
+
+
+# keywords the execution layer itself dropped: (callable, keyword,
+# a value the old code accepted)
+REMOVED_ENGINE_KWARGS = {
+    "batch_distances-chunksize": (
+        lambda **kw: batch_distances(SERIES, band=2, workers=2, **kw),
+        "chunksize", 2,
+    ),
+    "batch_distances-start_method": (
+        lambda **kw: batch_distances(SERIES, band=2, workers=2, **kw),
+        "start_method", "spawn",
+    ),
+    "batch_lb_keogh-chunksize": (
+        lambda **kw: batch_lb_keogh(SERIES, band=2, workers=2, **kw),
+        "chunksize", "legacy",
+    ),
+    "batch_lb_keogh-start_method": (
+        lambda **kw: batch_lb_keogh(SERIES, band=2, workers=2, **kw),
+        "start_method", "fork",
+    ),
+    "Runtime-chunksize": (Runtime, "chunksize", "auto"),
+    "Runtime.resolve-chunksize": (Runtime.resolve, "chunksize", 7),
+    "rle_dtw-backend": (
+        lambda **kw: rle_dtw(SERIES[0], SERIES[1], **kw),
+        "backend", "python",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED_ENGINE_KWARGS))
+def test_removed_engine_kwarg_is_refused(case):
+    call, kwarg, value = REMOVED_ENGINE_KWARGS[case]
+    with pytest.raises(TypeError, match=kwarg):
+        call(**{kwarg: value})

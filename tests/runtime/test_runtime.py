@@ -36,7 +36,6 @@ class TestConstruction:
         assert rt.workers == 1
         assert rt.backend is None
         assert rt.executor is None
-        assert rt.chunksize is None
         assert not rt.parallel
 
     def test_frozen(self):
@@ -56,15 +55,6 @@ class TestConstruction:
     def test_backend_validated_at_construction(self):
         with pytest.raises(ValueError):
             Runtime(backend="no-such-backend")
-
-    def test_chunksize_validated(self):
-        Runtime(chunksize="auto")
-        Runtime(chunksize="legacy")
-        Runtime(chunksize=7)
-        with pytest.raises(ValueError, match="chunksize"):
-            Runtime(chunksize=0)
-        with pytest.raises(ValueError, match="chunksize"):
-            Runtime(chunksize="eager")
 
     def test_executor_validated(self):
         Runtime(executor="default")
@@ -117,7 +107,7 @@ class TestDerivedViews:
         assert d["backend_resolved"] == "numpy"
         assert d["workers"] == 2
         assert d["executor"] is None
-        assert d["chunksize"] == "auto"
+        assert "chunksize" not in d
         assert d["parallel"] is True
         assert d["traced"] is False
         json.dumps(d)
@@ -199,11 +189,9 @@ class TestEnvironmentSeeding:
     def test_env_seeds_the_baseline(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "legacy")
         rt = default_runtime()
         assert rt.backend == "numpy"
         assert rt.workers == 3
-        assert rt.chunksize == "legacy"
 
     def test_env_is_reread_each_call(self, monkeypatch):
         assert default_runtime().workers == 1
@@ -215,9 +203,12 @@ class TestEnvironmentSeeding:
         with use_runtime(Runtime(workers=2)):
             assert default_runtime().workers == 2
 
-    def test_int_chunksize_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "16")
-        assert default_runtime().chunksize == 16
+    def test_chunksize_env_is_ignored(self, monkeypatch):
+        # the chunk plan has no knob: any REPRO_CHUNKSIZE, even one
+        # the old parser refused, leaves the built-in default
+        for value in ("16", "legacy", "fast"):
+            monkeypatch.setenv("REPRO_CHUNKSIZE", value)
+            assert default_runtime() == Runtime()
 
     def test_invalid_env_values_raise(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "many")
@@ -226,8 +217,4 @@ class TestEnvironmentSeeding:
         monkeypatch.delenv("REPRO_WORKERS")
         monkeypatch.setenv("REPRO_EXECUTOR", "warm")
         with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-            default_runtime()
-        monkeypatch.delenv("REPRO_EXECUTOR")
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "fast")
-        with pytest.raises(ValueError, match="REPRO_CHUNKSIZE"):
             default_runtime()

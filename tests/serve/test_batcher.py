@@ -195,23 +195,28 @@ class TestErrorsAndShutdown:
 
     def test_cancelled_drainer_fails_every_future_and_closes(self):
         entered = threading.Event()
+        release = threading.Event()
 
         class Slow(Recorder):
             def __call__(self, requests):
                 entered.set()
+                # held until the drainer is cancelled, however slowly
+                # this test's own steps run
+                release.wait(5)
                 return super().__call__(requests)
 
-        runner = Slow(delay=0.2)
+        runner = Slow()
         batcher = MicroBatcher(runner, window_ms=1)
 
         async def main():
             running = asyncio.ensure_future(batcher.submit({"tag": 0}))
-            # batch 0 is in the runner now, with about 0.2 s to go
+            # batch 0 is in the runner now, held there
             assert await asyncio.to_thread(entered.wait, 5)
             queued = asyncio.ensure_future(batcher.submit({"tag": 1}))
             await asyncio.sleep(0)  # queued behind the running batch
             drainer = batcher._drainer
             drainer.cancel()
+            release.set()
             await asyncio.wait(
                 [drainer, running, queued], timeout=5,
                 return_when=asyncio.ALL_COMPLETED,
@@ -231,6 +236,30 @@ class TestErrorsAndShutdown:
             assert "micro-batcher cancelled" in str(error)
         # the runner finished batch 0 on its thread and saw nothing else
         assert [[r["tag"] for r in b] for b in runner.batches] == [[0]]
+
+    def test_drainer_cancelled_before_it_runs_closes(self):
+        # cancelled before its first step, the drain task never enters
+        # _drain: the queued request must still fail and the batcher
+        # still close
+        runner = Recorder()
+        batcher = MicroBatcher(runner, window_ms=1)
+
+        async def main():
+            queued = asyncio.ensure_future(batcher.submit({"tag": 0}))
+            await asyncio.sleep(0)  # submit ran; the drainer has not
+            drainer = batcher._drainer
+            drainer.cancel()
+            await asyncio.wait([drainer, queued], timeout=5)
+            assert queued.done()
+            with pytest.raises(RuntimeError, match="closed"):
+                await batcher.submit({"tag": 1})
+            return drainer, queued.exception()
+
+        drainer, error = _run(main())
+        assert drainer.cancelled()
+        assert isinstance(error, RuntimeError)
+        assert "micro-batcher cancelled" in str(error)
+        assert runner.batches == []
 
     def test_validation(self):
         with pytest.raises(ValueError, match="window_ms"):

@@ -2,12 +2,14 @@
 
 import asyncio
 import json
+import socket
 import time
 
 import pytest
 
 from repro.runtime import Runtime
 from repro.serve import AsyncQueryService, QueryService
+from repro.serve import server as server_mod
 from repro.serve.server import _MAX_LINE_BYTES, serve
 from tests.conftest import make_series
 
@@ -237,6 +239,132 @@ class TestSocketServer:
         assert all(r["ok"] for r in responses)
         assert {r["id"] for r in responses} == {"0", "1", "2"}
         assert largest >= 2  # they rode one collection window
+
+
+class TestShutdownClosesConnections:
+    """``close()`` ends the connections the server accepted, after the
+    drain: a queued answer is still written, then the client reads
+    EOF."""
+
+    async def _connect(self, service):
+        server = await serve(service, host="127.0.0.1", port=0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        return server, reader, writer
+
+    def test_idle_connection_is_closed(self):
+        async def main():
+            service = AsyncQueryService(
+                window_ms=5, runtime=Runtime(workers=1)
+            )
+            service.register("coll", SERIES)
+            server, reader, writer = await self._connect(service)
+            try:
+                writer.write(_NEXT_LINE)
+                await writer.drain()
+                answer = json.loads(await asyncio.wait_for(
+                    reader.readline(), timeout=30
+                ))
+                live = len(service._connections)
+                server.close()
+                await server.wait_closed()
+                await service.close()
+                tail = await asyncio.wait_for(reader.read(), timeout=30)
+                return answer, live, tail, len(service._connections)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        answer, live, tail, left = _run(main())
+        assert answer["ok"] and answer["id"] == "next"
+        assert live == 1
+        assert tail == b""  # the server's end is closed
+        assert left == 0
+
+    def test_queued_answer_is_written_before_the_close(self):
+        # an index-off 1nn on a parallel runtime waits in the 500 ms
+        # window; close() drains it, writes it, then ends the socket
+        async def main():
+            service = AsyncQueryService(
+                window_ms=500, runtime=Runtime(workers=2)
+            )
+            service.register("coll", SERIES)
+            server, reader, writer = await self._connect(service)
+            try:
+                writer.write(json.dumps({
+                    "op": "1nn", "dataset": "coll", "band": 3,
+                    "index": False, "query": QUERY, "id": "held",
+                }).encode() + b"\n")
+                await writer.drain()
+                await asyncio.sleep(0.05)  # inside the window
+                server.close()
+                await server.wait_closed()
+                await service.close()
+                tail = await asyncio.wait_for(reader.read(), timeout=30)
+                return tail
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        lines = _run(main()).splitlines()
+        assert len(lines) == 1
+        answer = json.loads(lines[0])
+        assert answer["ok"] and answer["id"] == "held"
+
+    def test_client_that_stops_reading_cannot_hold_the_close(
+        self, monkeypatch
+    ):
+        # the client pipelines requests and never reads their answers:
+        # once both sockets' buffers are full, the server's answers
+        # queue in its transport and stop moving, and closing the
+        # transport waits for a flush that never comes; close() aborts
+        # it after the grace period instead
+        monkeypatch.setattr(server_mod, "_CLOSE_GRACE_S", 0.2)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            service = AsyncQueryService(
+                window_ms=5, runtime=Runtime(workers=1)
+            )
+            server = await serve(service, host="127.0.0.1", port=0)
+            port = server.sockets[0].getsockname()[1]
+            client = socket.socket()
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            client.setblocking(False)
+            sending = None
+            try:
+                await loop.sock_connect(client, ("127.0.0.1", port))
+                while not service._connections:
+                    await asyncio.sleep(0.01)
+                [served] = service._connections
+                served.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                sending = asyncio.ensure_future(loop.sock_sendall(
+                    client, b'{"admin": "ping"}\n' * 20000
+                ))
+                deadline = time.monotonic() + 30
+                queued, still = -1, 0
+                while still < 10:  # unsent answers, unmoved for 0.2 s
+                    assert time.monotonic() < deadline, "never stalled"
+                    await asyncio.sleep(0.02)
+                    now = served.transport.get_write_buffer_size()
+                    still = still + 1 if now and now == queued else 0
+                    queued = now
+                server.close()
+                await server.wait_closed()
+                start = time.monotonic()
+                await asyncio.wait_for(service.close(), timeout=30)
+                return time.monotonic() - start, service.service.closed
+            finally:
+                if sending is not None:
+                    sending.cancel()
+                    await asyncio.gather(sending, return_exceptions=True)
+                client.close()
+
+        took, closed = _run(main())
+        assert closed
+        assert took < 10
 
 
 class TestWindowRule:

@@ -174,20 +174,18 @@ class TestRuntime:
         assert doc["backend"] is None
         assert doc["backend_resolved"] == "python"
         assert doc["executor"] is None
-        assert doc["chunksize"] == "auto"
+        assert "chunksize" not in doc
         assert doc["parallel"] is False
         assert doc["traced"] is False
 
     def test_flags_override(self, capsys):
         assert main([
             "runtime", "--workers", "3", "--backend", "numpy",
-            "--chunksize", "16",
         ]) == 0
         doc = self._document(capsys)
         assert doc["workers"] == 3
         assert doc["backend"] == "numpy"
         assert doc["backend_resolved"] == "numpy"
-        assert doc["chunksize"] == 16
         assert doc["parallel"] is True
 
     def test_env_seeds_the_report(self, capsys, monkeypatch):
@@ -211,13 +209,12 @@ class TestRuntime:
         assert main(["runtime", "--workers", "0"]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
 
-    def test_bad_chunksize_exits_2(self, capsys):
-        assert main(["runtime", "--chunksize", "fast"]) == 2
+    def test_chunksize_flag_is_gone(self, capsys):
+        # the chunk plan has no knob left to override
+        with pytest.raises(SystemExit) as exit_info:
+            main(["runtime", "--chunksize", "16"])
+        assert exit_info.value.code == 2
         assert "--chunksize" in capsys.readouterr().err
-
-    def test_chunksize_policies_pass_through(self, capsys):
-        assert main(["runtime", "--chunksize", "legacy"]) == 0
-        assert self._document(capsys)["chunksize"] == "legacy"
 
 
 class TestParser:
