@@ -6,7 +6,6 @@ each stage contributes.
 """
 
 from repro.datasets.gestures import gesture_dataset
-from repro.lowerbounds.cascade import CascadeBatch
 from repro.search.nn_search import nearest_neighbor
 
 
@@ -34,20 +33,6 @@ class TestLowerBoundAblation:
                                      window=0.10)
         )
         assert res.distance >= 0
-
-    def test_cascade_without_reversed_stage(self, benchmark):
-        query, candidates = _workload()
-        band = 13  # ceil(0.10 * 128)
-
-        def search():
-            cascade = CascadeBatch(
-                candidates, band, use_reversed=False, use_improved=False,
-                best_first=False,
-            )
-            return cascade.nearest(query)
-
-        hit = benchmark(search)
-        assert hit.distance >= 0
 
     def test_stage_contributions_report(self, benchmark, save_report):
         query, candidates = _workload()

@@ -104,9 +104,9 @@ def find_discord(
         by ``repro.index`` with the same ``window``/``band``/
         ``step``/``normalize``; fingerprint-verified).  The scan then
         serves the stored z-normalised windows and every envelope --
-        the candidate's *and* each neighbour's -- from the index and
-        adds the LB_Improved stage.  Scan order, thresholds and
-        ``distance_calls`` are unchanged, so the result is
+        the candidate's *and* each neighbour's -- from the index.
+        Scan order, thresholds, cascade work and ``distance_calls``
+        are unchanged, so the result is
         bit-identical to the serial index-free scan.  The indexed
         path is sequential; a parallel runtime contributes only its
         backend.
@@ -180,14 +180,11 @@ def find_discord(
                 best_idx = i
                 best_neighbor = nn_idx
     else:
-        # the index serves stored envelopes and adds LB_Improved;
-        # without one, every window's envelope is built once and kept
+        # the index serves stored envelopes; without one, every
+        # window's envelope is built once and kept
         cascade = (
             index.searcher(runtime=rt) if index is not None
-            else CascadeBatch(
-                series, band, use_improved=False, best_first=False,
-                runtime=rt,
-            )
+            else CascadeBatch(series, band, runtime=rt)
         )
         for i in range(k):
             nn = inf

@@ -142,10 +142,10 @@ class OneNearestNeighbor:
         ``repro.index`` over exactly the series later passed to
         :meth:`fit`, with the band ``spec.window`` implies).  Only
         valid for ``measure="cdtw"`` with ``use_lower_bounds``; the
-        indexed scans reuse precomputed envelopes, run best-first
-        with the LB_Improved stage, and share exact distances across
-        leave-one-out queries -- all lossless, so predictions are
-        identical.  Verified by content fingerprint at :meth:`fit`.
+        indexed scans reuse precomputed envelopes and share exact
+        distances across leave-one-out queries -- both lossless, so
+        predictions are identical.  Verified by content fingerprint
+        at :meth:`fit`.
 
     Notes
     -----
@@ -191,9 +191,8 @@ class OneNearestNeighbor:
         if self._cascaded:
             n = len(series[0])
             band = band_from_fraction(self.spec.window, n)
-            # the index serves stored envelopes to a best-first scan
-            # with LB_Improved and a shared exact-distance cache;
-            # without one, the in-order scan
+            # the index serves stored envelopes and a shared
+            # exact-distance cache to the same scan
             if self._index is not None:
                 self._index.require(
                     kind="collection", count=len(series), length=n,
@@ -205,18 +204,24 @@ class OneNearestNeighbor:
                 )
             else:
                 self._cascade = CascadeBatch(
-                    self._train, band, use_improved=False,
-                    best_first=False, runtime=self.runtime,
+                    self._train, band, runtime=self.runtime,
                 )
         return self
 
     def predict_one(self, query: Sequence[float], exclude: Optional[int] = None):
         """Label of the training series nearest to ``query``.
 
-        ``exclude`` skips one training index (leave-one-out CV).
+        ``exclude`` skips one training index (leave-one-out CV); an
+        index outside the training set is a ``ValueError``.
         """
         if not self._train:
             raise ValueError("classifier is not fitted")
+        count = len(self._train)
+        if exclude is not None and not 0 <= exclude < count:
+            raise ValueError(
+                f"exclude={exclude} is not a training index "
+                f"(0..{count - 1})"
+            )
         if self._cascade is not None:
             return self._predict_cascaded(query, exclude)
         indices = [

@@ -91,14 +91,6 @@ class KernelSet:
         abandon decisions).  Envelopes may be shared (1-D) or stacked
         per row; the reversed bound is this kernel scored with the
         query against a candidate's envelope.
-    lb_improved_chunk:
-        ``lb_improved_chunk(upper, lower, candidates, query, band,
-        squared=True, keogh=None, abandon_above=None, count=None)`` ->
-        per-candidate two-pass Lemire bounds, each bit-identical to
-        the scalar :func:`repro.lowerbounds.lb_improved.lb_improved`
-        (values and abandon decisions).  ``keogh`` optionally supplies
-        the full first-pass bounds so a cascade can reuse its
-        forward-Keogh stage.
 
     The multivariate bounds need no fields of their own: they are
     per-channel sums of the scalar bounds
@@ -110,7 +102,6 @@ class KernelSet:
     dtw_chunk: Callable
     envelope_chunk: Callable
     lb_keogh_chunk: Callable
-    lb_improved_chunk: Callable
 
 
 def _build_python() -> KernelSet:
@@ -164,27 +155,6 @@ def _build_python() -> KernelSet:
         envs = [envelope(s, band) for s in rows]
         return ([e.upper for e in envs], [e.lower for e in envs])
 
-    def lb_improved_chunk_each(upper, lower, candidates, query, band,
-                               squared=True, keogh=None,
-                               abandon_above=None, count=None):
-        from ..lowerbounds.envelope import Envelope
-        from ..lowerbounds.lb_improved import lb_improved
-
-        rows = _real_rows(candidates, count)
-        shared = len(upper) > 0 and not hasattr(upper[0], "__len__")
-        out = []
-        for t, cand in enumerate(rows):
-            up = upper if shared else upper[t]
-            lo = lower if shared else lower[t]
-            env = Envelope(band, list(up), list(lo))
-            first = None if keogh is None else keogh[t]
-            out.append(lb_improved(
-                query, cand, band, squared=squared,
-                abandon_above=abandon_above, query_envelope=env,
-                keogh=first,
-            ))
-        return out
-
     def lb_keogh_chunk_each(upper, lower, candidates, squared=True,
                             abandon_above=None, count=None):
         from ..lowerbounds.lb_keogh import _gap_cost
@@ -217,7 +187,6 @@ def _build_python() -> KernelSet:
         dtw_chunk=dtw_chunk_each,
         envelope_chunk=envelope_chunk_each,
         lb_keogh_chunk=lb_keogh_chunk_each,
-        lb_improved_chunk=lb_improved_chunk_each,
     )
 
 
@@ -244,7 +213,6 @@ def _build_numpy() -> KernelSet:
         dtw_chunk=dtw_chunk,
         envelope_chunk=nb.envelope_chunk,
         lb_keogh_chunk=nb.lb_keogh_chunk,
-        lb_improved_chunk=nb.lb_improved_chunk,
     )
 
 

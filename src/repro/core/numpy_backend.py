@@ -65,7 +65,6 @@ __all__ = [
     "dtw_chunk",
     "envelope_chunk",
     "lb_keogh_chunk",
-    "lb_improved_chunk",
     "lb_kim_batch",
 ]
 
@@ -453,108 +452,6 @@ def lb_keogh_chunk(
     # cumsum adds strictly left to right; its last column is the
     # scalar loop's total, operand for operand
     totals = np.cumsum(gaps, axis=1)[:, -1]
-    if abandon_above is not None:
-        totals[totals > abandon_above] = _INF
-    return totals
-
-
-def lb_improved_chunk(
-    upper,
-    lower,
-    candidates,
-    query,
-    band: int,
-    squared: bool = True,
-    keogh=None,
-    abandon_above: Optional[float] = None,
-    count: Optional[int] = None,
-) -> np.ndarray:
-    """LB_Improved over a stacked chunk, bit-identical to the scalar.
-
-    Lemire's two-pass bound
-    (:func:`repro.lowerbounds.lb_improved.lb_improved`): the first
-    pass is LB_Keogh of each candidate against the query envelope;
-    the second clips each candidate into that envelope (``np.clip``
-    is a pure selection, matching the scalar projection bit for bit),
-    builds the clipped rows' envelopes with one
-    :func:`envelope_chunk` call, and charges the query's gaps to
-    them.  Both passes accumulate with ``np.cumsum`` -- a strict
-    left-to-right fold -- and the passes combine with a single
-    addition, exactly as the scalar does, so values *and* abandon
-    decisions are bit-identical.
-
-    Parameters
-    ----------
-    upper, lower:
-        Query envelope(s), band-``band``: 1-D ``(n,)`` arrays shared
-        by every candidate, or ``(chunk, n)`` per-row stacks.
-    candidates:
-        ``(chunk, n)`` candidate stack (1-D promotes to one row).
-    query:
-        The query series, ``(n,)``.
-    band:
-        Sakoe-Chiba half-width; the second pass's envelopes use it.
-    squared:
-        Squared (default) or absolute per-point gap cost.
-    keogh:
-        Optional precomputed *full* first-pass bounds aligned with the
-        candidate rows (e.g. the cascade's forward-Keogh stage
-        values); computed here when ``None``.
-    abandon_above:
-        Bounds exceeding this report ``inf``, exactly as the scalar
-        early-abandon does.
-    count:
-        Real leading rows, as in :func:`dtw_chunk`; pad rows are never
-        read.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(count,)`` bounds.
-    """
-    if band < 0:
-        raise ValueError("band must be non-negative")
-    C = np.ascontiguousarray(candidates, dtype=np.float64)
-    if C.ndim == 1:
-        C = C[None, :]
-    rows = _chunk_rows(C.shape[0], count)
-    C = C[:rows]
-    q = np.ascontiguousarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != C.shape[1]:
-        raise ValueError("query and candidates must share their length")
-    up = np.asarray(upper, dtype=np.float64)
-    lo = np.asarray(lower, dtype=np.float64)
-    if up.shape != lo.shape:
-        raise ValueError("upper and lower envelopes must match in shape")
-    if up.ndim == 2:
-        up, lo = up[:rows], lo[:rows]
-    elif up.ndim != 1:
-        raise ValueError("envelopes must be 1-D or a 2-D stack")
-    if up.shape[-1] != C.shape[1]:
-        raise ValueError(
-            f"candidate length {C.shape[1]} != envelope length "
-            f"{up.shape[-1]}"
-        )
-    if rows == 0:
-        return np.empty(0, dtype=np.float64)
-
-    if keogh is None:
-        first = np.cumsum(_gap_costs(C, lo, up, squared), axis=1)[:, -1]
-    else:
-        first = np.ascontiguousarray(keogh, dtype=np.float64)[:rows]
-        if first.shape != (rows,):
-            raise ValueError(
-                "keogh must supply one full first-pass bound per row"
-            )
-
-    # projection onto the query envelope: min(max(c, lower), upper) is
-    # the scalar clip's selection, operand for operand
-    H = np.clip(C, lo, up)
-    env_upper, env_lower = envelope_chunk(H, band)
-    second = np.cumsum(
-        _gap_costs(q[None, :], env_lower, env_upper, squared), axis=1
-    )[:, -1]
-    totals = first + second
     if abandon_above is not None:
         totals[totals > abandon_above] = _INF
     return totals

@@ -3,17 +3,18 @@
 :class:`IndexSearcher` marries a :class:`~repro.index.DatasetIndex`'s
 precomputed artifacts to the :class:`~repro.lowerbounds.cascade.
 CascadeBatch` cascade: candidate envelopes are served from the index
-instead of rebuilt, every query scans candidates best-first by their
-cheapest bound, the LB_Improved stage always runs, and self-join
-workloads (LOOCV, discords, motifs) can share exact distances across
-queries.  All of it is lossless -- the neighbour and distance returned
-are bit-identical to the index-free scan (see the cascade module's
-proofs) -- so consumers treat the searcher as a drop-in fast path.
+instead of rebuilt, and self-join workloads (LOOCV, discords, motifs)
+can share exact distances across queries.  Those are the only two
+things an index changes: the stored series are held, so ``nearest``
+scans them exactly as an index-free ``CascadeBatch`` over the same
+list would, returning the same neighbour, distance and
+:class:`~repro.lowerbounds.cascade.CascadeStats` (see the cascade
+module's proofs), and consumers treat the searcher as a drop-in fast
+path.
 
 Observability: each search increments ``index.hits``; precomputed
 artifacts served instead of recomputed accumulate under
-``index.artifacts_reused``; candidates pruned by the LB_Improved stage
-under ``index.lb_improved_prunes``; cache-served exact distances under
+``index.artifacts_reused``; cache-served exact distances under
 ``index.reused_exact``.  The counters are derived from the same
 :class:`~repro.lowerbounds.cascade.CascadeStats` the result carries,
 so trace snapshots and returned stats can be parity-checked.
@@ -46,10 +47,6 @@ class IndexSearcher:
     share_exact:
         Keep a symmetric exact-distance cache across self-join
         queries (callers must then pass ``query_index``).
-
-    The LB_Improved stage and the best-first scan are always on: with
-    envelopes precomputed, the second Lemire pass is cheap relative to
-    the DPs it prunes, and both are lossless.
     """
 
     def __init__(
@@ -62,8 +59,6 @@ class IndexSearcher:
         self.runtime = Runtime.resolve(runtime).serial()
         self._batch = CascadeBatch(
             index.candidate_series(), index.band,
-            use_improved=True,
-            best_first=True,
             share_exact=share_exact,
             runtime=self.runtime,
             candidate_envelopes=index.candidate_envelopes(),
@@ -140,7 +135,5 @@ class IndexSearcher:
         _obs.incr("index.hits")
         if artifacts_reused:
             _obs.incr("index.artifacts_reused", artifacts_reused)
-        if stats.pruned_improved:
-            _obs.incr("index.lb_improved_prunes", stats.pruned_improved)
         if stats.reused_exact:
             _obs.incr("index.reused_exact", stats.reused_exact)

@@ -1,15 +1,15 @@
 """The lower-bound cascade: lossless cDTW pruning for 1-NN search.
 
-Bounds are applied cheapest-first against a best-so-far threshold:
+Bounds are applied cheapest-first against a best-so-far threshold,
+all under the squared local cost:
 
 1. ``LB_Kim``          -- O(1);
 2. ``LB_Keogh``        -- O(n) against the query envelope, built once
    per query;
-3. ``LB_Improved``     -- optional second Lemire pass, reusing the
-   LB_Keogh value (the indexed search enables it);
-4. ``LB_Keogh`` reversed -- O(n): the same forward bound, scored with
+3. ``LB_Keogh`` reversed -- O(n): the same forward bound, scored with
    the query against the *candidate's* envelope;
-5. early-abandoning cDTW -- the full DP, only for survivors.
+4. early-abandoning cDTW -- the full DP, only for survivors, with the
+   UCR-suite cumulative suffix bound on univariate series.
 
 Every stage is provably ``<=`` the true cDTW distance, so pruning is
 lossless: the search returns exactly the nearest neighbour, just
@@ -22,9 +22,12 @@ or candidate by candidate for callers that run their own loop
 (:meth:`CascadeBatch.scan`: top-k, discords, motifs).  Candidate
 envelopes come ready-made from an index when one is given; otherwise
 each is built the first time the reversed stage asks for it and kept
-for the batch's life.  Multivariate ``(length, dims)`` candidates run
-the same stage list with the summed per-channel bounds of
-:mod:`repro.lowerbounds.nd` and the dependent DP as the exact stage.
+for the batch's life.  An index changes a scan only by serving those
+envelopes (and, for self-joins, the exact-distance cache), so indexed
+and index-free scans of the same held candidates do the same work.
+Multivariate ``(length, dims)`` candidates run the same stage list
+with the summed per-channel bounds of :mod:`repro.lowerbounds.nd` and
+the dependent DP as the exact stage.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 from ..obs import trace as _obs
 from ..runtime import Runtime
 from .envelope import Envelope, envelope
-from .lb_improved import lb_improved
 from .lb_keogh import lb_keogh
 from .lb_kim import lb_kim
 
@@ -52,7 +54,6 @@ class CascadeStats:
     abandoned_dtw: int = 0
     full_dtw: int = 0
     cells: int = 0  # DP lattice cells actually evaluated
-    pruned_improved: int = 0  # LB_Improved stage (when enabled)
     reused_exact: int = 0  # answered from a shared exact-distance cache
 
     def pruned_total(self) -> int:
@@ -60,7 +61,6 @@ class CascadeStats:
         return (
             self.pruned_kim
             + self.pruned_keogh
-            + self.pruned_improved
             + self.pruned_keogh_reversed
             + self.abandoned_dtw
         )
@@ -94,14 +94,11 @@ class _Stages(NamedTuple):
 
     kim: Callable  # (query, candidate) -> bound
     keogh: Callable  # (envelope, series, best) -> bound or inf
-    improved: Callable  # (query, query_env, candidate, keogh, best)
     envelope: Callable  # (series) -> envelope
     exact: Callable  # (query, query_env, candidate, best) -> DtwResult
 
 
-def _pick_stages(band, squared, use_cumulative, dims, rt) -> _Stages:
-    cost = "squared" if squared else "abs"
-
+def _pick_stages(band, dims, rt) -> _Stages:
     def abandon_at(best):
         return None if best == inf else best
 
@@ -113,20 +110,16 @@ def _pick_stages(band, squared, use_cumulative, dims, rt) -> _Stages:
         # pure python on every backend); the cumulative-suffix stage
         # is scalar-only, so the exact stage is plain early abandoning
         from ..core.multivariate import cdtw_nd
-        from .nd import envelopes_nd, lb_improved_nd, lb_keogh_nd, lb_kim_nd
+        from .nd import envelopes_nd, lb_keogh_nd, lb_kim_nd
 
         return _Stages(
-            kim=lambda q, c: lb_kim_nd(q, c, cost=cost),
+            kim=lb_kim_nd,
             keogh=lambda env, x, best: lb_keogh_nd(
-                env, x, squared=squared, abandon_above=best,
-            ),
-            improved=lambda q, env, c, lb, best: lb_improved_nd(
-                q, c, band, squared=squared, abandon_above=best,
-                query_envelopes=env,
+                env, x, abandon_above=best,
             ),
             envelope=lambda x: envelopes_nd(x, band),
             exact=lambda q, q_env, c, best: cdtw_nd(
-                q, c, band=band, cost=cost, abandon_above=abandon_at(best),
+                q, c, band=band, abandon_above=abandon_at(best),
             ),
         )
 
@@ -134,31 +127,20 @@ def _pick_stages(band, squared, use_cumulative, dims, rt) -> _Stages:
     from ..search.cumulative import cdtw_cumulative_abandon
 
     def exact(q, q_env, c, best):
-        if use_cumulative and best != inf:
-            # the UCR-suite cumulative suffix bound: DTW over the
-            # candidate against the query, charged up-front for what
-            # its remaining rows must at least cost
-            return cdtw_cumulative_abandon(
-                c, q, band, threshold=best, y_envelope=q_env,
-                squared=squared,
-            )
-        return cdtw(q, c, band=band, cost=cost,
-                    abandon_above=abandon_at(best))
-
-    def kim(q, c):
-        return lb_kim(q, c, cost=cost)
+        if best == inf:
+            return cdtw(q, c, band=band)
+        # the UCR-suite cumulative suffix bound: DTW over the
+        # candidate against the query, charged up-front for what its
+        # remaining rows must at least cost
+        return cdtw_cumulative_abandon(
+            c, q, band, threshold=best, y_envelope=q_env,
+        )
 
     kernels = rt.kernels()
     if kernels.name == "python":
         return _Stages(
-            kim=kim,
-            keogh=lambda env, x, best: lb_keogh(
-                env, x, squared=squared, abandon_above=best,
-            ),
-            improved=lambda q, env, c, lb, best: lb_improved(
-                q, c, band, squared=squared, abandon_above=best,
-                query_envelope=env, keogh=lb,
-            ),
+            kim=lb_kim,
+            keogh=lambda env, x, best: lb_keogh(env, x, abandon_above=best),
             envelope=lambda x: envelope(x, band),
             exact=exact,
         )
@@ -170,14 +152,9 @@ def _pick_stages(band, squared, use_cumulative, dims, rt) -> _Stages:
         return Envelope(band, up[0], lo[0])
 
     return _Stages(
-        kim=kim,
+        kim=lb_kim,
         keogh=lambda env, x, best: float(kernels.lb_keogh_chunk(
-            env.upper, env.lower, (x,), squared=squared,
-            abandon_above=best,
-        )[0]),
-        improved=lambda q, env, c, lb, best: float(kernels.lb_improved_chunk(
-            env.upper, env.lower, (c,), q, band, squared=squared,
-            keogh=(lb,), abandon_above=best,
+            env.upper, env.lower, (x,), abandon_above=best,
         )[0]),
         envelope=vector_envelope,
         exact=exact,
@@ -252,39 +229,33 @@ class CascadeScan:
         front by :meth:`CascadeBatch.nearest`'s prefilter.  Decisions
         are identical either way: gap costs are non-negative, so an
         abandoning bound crosses the threshold exactly when its full
-        value exceeds it.
+        value exceeds it.  A bound prunes only past ``best`` plus the
+        batch's rounding allowance, so a candidate whose distance
+        equals ``best`` always reaches the exact stage.
         """
         batch, stages = self._batch, self._batch._stages
+        limit = best + best * batch._rounding
         self.stats.candidates += 1
         _obs.incr("lb.candidates")
         cand = batch.candidates[j]
         _obs.incr("lb.invocations")
         if kim is None:
             kim = stages.kim(self.query, cand)
-        if kim > best:
+        if kim > limit:
             return self._pruned("pruned_kim")
         _obs.incr("lb.invocations")
         lb = keogh if keogh is not None else stages.keogh(
-            self.envelope, cand, best
+            self.envelope, cand, limit
         )
-        if lb > best:
+        if lb > limit:
             return self._pruned("pruned_keogh")
-        if batch.use_improved:
-            # Lemire's second pass on top of the forward-Keogh value
-            # (``lb`` is the full bound: an abandoning pass only returns
-            # a finite value when it summed every gap)
-            _obs.incr("lb.invocations")
-            imp = stages.improved(self.query, self.envelope, cand, lb, best)
-            if imp > best:
-                return self._pruned("pruned_improved")
-        if batch.use_reversed:
-            _obs.incr("lb.invocations")
-            env = (
-                stages.envelope(cand) if batch._envelopes is None
-                else self._envelope_of(j)
-            )
-            if stages.keogh(env, self.query, best) > best:
-                return self._pruned("pruned_keogh_reversed")
+        _obs.incr("lb.invocations")
+        env = (
+            stages.envelope(cand) if batch._envelopes is None
+            else self._envelope_of(j)
+        )
+        if stages.keogh(env, self.query, limit) > limit:
+            return self._pruned("pruned_keogh_reversed")
         result = stages.exact(self.query, self.envelope, cand, best)
         self.stats.cells += result.cells
         if result.abandoned:
@@ -321,10 +292,12 @@ class CascadeBatch:
       ``candidate_envelopes`` (e.g. a :class:`repro.index.DatasetIndex`)
       or are built on first use and kept, and serve every query's
       reversed stage;
-    * **best-first ordering** -- each query scans candidates in
-      ascending order of their cheapest bound (full LB_Kim, O(1) per
-      candidate), so the best-so-far threshold tightens as early as
-      possible and the later, expensive stages prune more;
+    * **best-first ordering** -- :meth:`nearest` scans held candidates
+      in ascending order of their full LB_Kim (O(1) per candidate;
+      ties by position), so the best-so-far threshold tightens as
+      early as possible and the later, expensive stages prune more.
+      A view is scanned in stream order: sorting it would compute
+      every candidate twice;
     * **best-so-far sharing** -- for *self-join* batches (each query
       is itself a member of the candidate set, declared via
       ``query_index``), every exact distance computed for an earlier
@@ -337,7 +310,10 @@ class CascadeBatch:
     smallest original index among the equally-nearest -- which is
     exactly the first-wins winner of the serial in-order scan, so
     :meth:`nearest` returns a bit-identical ``(index, distance)`` for
-    any ordering, seeding or backend.
+    any ordering, seeding or backend.  Where the envelopes come from
+    never changes a decision, so a batch primed with an index's
+    envelopes returns the same answers *and* :class:`CascadeStats` as
+    one that builds its own.
 
     Parameters
     ----------
@@ -351,19 +327,6 @@ class CascadeBatch:
     band:
         Sakoe-Chiba half-width in cells; must match the cDTW calls the
         cascade stands in for.
-    squared:
-        Local cost convention (squared by default, as in the engine).
-    use_reversed:
-        Run the reversed LB_Keogh stage.
-    use_cumulative:
-        Give the exact stage the UCR-suite cumulative suffix bound
-        (univariate series only).
-    use_improved:
-        Run the LB_Improved stage (default on: with envelopes at hand,
-        the second Lemire pass is cheap relative to the DPs it prunes).
-    best_first:
-        Let :meth:`nearest` scan candidates cheapest-bound-first
-        (default on; off gives the classic in-order scan).
     share_exact:
         Keep the symmetric exact-distance cache across self-join
         queries (callers then pass ``query_index``).
@@ -395,11 +358,6 @@ class CascadeBatch:
         self,
         candidates: Sequence[Sequence[float]],
         band: int,
-        squared: bool = True,
-        use_reversed: bool = True,
-        use_cumulative: bool = True,
-        use_improved: bool = True,
-        best_first: bool = True,
         share_exact: bool = False,
         runtime: Optional[Runtime] = None,
         candidate_envelopes: Optional[Tuple[Sequence, Sequence]] = None,
@@ -413,10 +371,6 @@ class CascadeBatch:
         # effect at construction, even if the process default changes
         self.runtime = rt = rt.replace(backend=rt.backend_name)
         self.band = band
-        self.squared = squared
-        self.use_reversed = use_reversed
-        self.use_improved = use_improved
-        self.best_first = best_first
         self._held = isinstance(candidates, (list, tuple))
         self.candidates = (
             list(candidates) if self._held else candidates
@@ -431,9 +385,21 @@ class CascadeBatch:
             len(first[0]) if len(first) and hasattr(first[0], "__len__")
             else None
         )
-        self._stages = _pick_stages(
-            band, squared, use_cumulative, self.dims, rt
-        )
+        # Rounding allowance of the bound stages.  In exact arithmetic
+        # no bound exceeds the distance it bounds, but a bound adds its
+        # terms in another order than the DP: LB_Kim adds both corners
+        # first, and the summed nd bounds add channel by channel where
+        # the DP adds sample by sample.  Each bound term is at most a
+        # DP term, and every term is non-negative, so a sum of k terms
+        # lies within a factor 1 +- k * u of the exact sum (u = 2**-53):
+        # k <= n * dims for a bound, (2n - 1) * dims for a path.  A
+        # bound thus rounds at most a factor 1 + 3 * n * dims * u above
+        # the completed distance, inside the 1 + 4 * n * dims * u used
+        # here.  A bound one ulp above a tied candidate's distance
+        # would otherwise prune it, and a best-first scan would return
+        # a later index than the in-order scan's first-wins winner.
+        self._rounding = 4.0 * self.length * (self.dims or 1) * 2.0 ** -53
+        self._stages = _pick_stages(band, self.dims, rt)
         self._vectorised = rt.kernels().name != "python"
         self._stack = None
         self._cache: Optional[Dict[int, Dict[int, float]]] = (
@@ -490,21 +456,26 @@ class CascadeBatch:
         ``candidates[query_index]``): its envelope is reused and, when
         the batch was built with ``share_exact=True``, its exact
         distances feed the symmetric cache.  ``exclude`` skips one
-        candidate index (leave-one-out).
+        candidate index (leave-one-out); an index outside the
+        candidates is a ``ValueError``.
         """
-        admissible = [
-            j for j in range(len(self.candidates)) if j != exclude
-        ]
+        count = len(self.candidates)
+        if exclude is not None and not 0 <= exclude < count:
+            raise ValueError(
+                f"exclude={exclude} is not a candidate index "
+                f"(0..{count - 1})"
+            )
+        admissible = [j for j in range(count) if j != exclude]
         if not admissible:
             raise ValueError("no candidates to search")
         scan = self.scan(query, query_index)
         kims, keoghs = self._prefilter(scan)
-        if self.best_first:
+        if self._held:
             if kims is None:
-                kims = {
-                    j: self._stages.kim(scan.query, self.candidates[j])
-                    for j in admissible
-                }
+                kims = [
+                    self._stages.kim(scan.query, c)
+                    for c in self.candidates
+                ]
             # cheapest bound first; ties by original position keep the
             # scan deterministic
             order = sorted(admissible, key=lambda j: (kims[j], j))
@@ -569,12 +540,10 @@ class CascadeBatch:
             self._stack = np.ascontiguousarray(
                 self.candidates, dtype=np.float64
             )
-        cost = "squared" if self.squared else "abs"
         _obs.incr("lb.chunk_prefilter")
-        kims = kernels.lb_kim(scan.query, self._stack, cost=cost)
+        kims = kernels.lb_kim(scan.query, self._stack)
         _obs.incr("lb.chunk_prefilter")
         keoghs = kernels.lb_keogh_chunk(
             scan.envelope.upper, scan.envelope.lower, self._stack,
-            squared=self.squared,
         )
         return kims.tolist(), keoghs.tolist()

@@ -72,9 +72,9 @@ def find_motif(
 
     ``index`` accepts an ahead-of-time index of this stream's windows
     (as in :func:`repro.anomaly.discord.find_discord`): the all-pairs
-    scan then reuses the stored windows and envelopes and adds the
-    LB_Improved stage -- scan order, thresholds and
-    ``distance_calls`` unchanged, result bit-identical.
+    scan then reuses the stored windows and envelopes -- scan order,
+    thresholds, cascade work and ``distance_calls`` unchanged, result
+    bit-identical.
 
     Returns
     -------
@@ -143,14 +143,11 @@ def find_motif(
                     best = d
                     best_pair = (i, j)
     else:
-        # the index serves stored envelopes and adds LB_Improved;
-        # without one, every window's envelope is built once and kept
+        # the index serves stored envelopes; without one, every
+        # window's envelope is built once and kept
         cascade = (
             index.searcher(runtime=rt) if index is not None
-            else CascadeBatch(
-                series, band, use_improved=False, best_first=False,
-                runtime=rt,
-            )
+            else CascadeBatch(series, band, runtime=rt)
         )
         for i in range(k):
             with cascade.scan(series[i], query_index=i) as scan:

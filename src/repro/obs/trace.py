@@ -40,9 +40,14 @@ counter                      incremented by
 ``lb.pruned_keogh_reversed`` candidates pruned by reversed LB_Keogh
 ``lb.abandoned_dtw``         candidates abandoned inside the final DP
 ``lb.full_dtw``              candidates that ran a complete DP
+``lb.reused_exact``          candidates answered from a self-join's
+                             exact-distance cache
 ``lb.suffix_builds``         cumulative-bound suffix arrays built
 ``lb.chunk_prefilter``       stacked bound-kernel calls by the
                              cascade's chunk prefilter
+``index.hits``               searches served by an index's searcher
+``index.artifacts_reused``   stored envelopes served instead of built
+``index.reused_exact``       ``lb.reused_exact`` on indexed searches
 ``cumulative.calls``         cumulative-abandon cDTW invocations
 ``chunk.groups``             shape-homogeneous groups formed from
                              scheduled chunks

@@ -4,7 +4,8 @@ Strategies, from the paper's comparison space:
 
 * ``"cdtw"``          -- exact banded DTW per candidate, no tricks;
 * ``"cdtw+lb"``       -- exact, with the lossless lower-bound cascade
-  and early abandoning (the UCR-suite style, cDTW-only optimisation);
+  and early abandoning (the UCR-suite style, cDTW-only optimisation),
+  scanning list or tuple candidates best-first by LB_Kim;
 * ``"fastdtw"``       -- the approximation, which must run in full for
   every candidate (no valid lower bounds exist for it);
 * ``"euclidean"``     -- the ``w = 0`` baseline.
@@ -87,11 +88,12 @@ def nearest_neighbor(
         ``repro.index``); ``"cdtw+lb"`` only.  The index must prove --
         by content fingerprint -- that it was built from exactly
         these candidates with this band, and the search then reuses
-        its precomputed envelopes, scans best-first and runs the
-        LB_Improved stage.  All of that is lossless: the returned
-        neighbour and distance are bit-identical to the index-free
-        path.  The resolved ``runtime`` still governs the backend
-        (``index=`` rides on, not around, ``Runtime.resolve``).
+        its precomputed envelopes instead of building them.  The scan
+        is otherwise the index-free one, best-first by LB_Kim, so the
+        returned neighbour and distance are identical to the
+        index-free path, and so are the ``stats`` for list or tuple
+        ``candidates``.  The resolved ``runtime`` still governs the
+        backend (``index=`` rides on, not around, ``Runtime.resolve``).
 
     Returns
     -------
@@ -192,8 +194,7 @@ def _nearest_neighbor_impl(
                 best, best_idx = result.distance, idx
         return NnResult(best_idx, best, strategy, cells=cells)
 
-    # strategy == "cdtw+lb": the index serves stored envelopes to a
-    # best-first scan with LB_Improved; without one, the in-order scan
+    # strategy == "cdtw+lb": an index only serves stored envelopes
     if index is not None:
         index.require(
             kind="collection", band=band_cells_, normalize=False,
@@ -203,10 +204,7 @@ def _nearest_neighbor_impl(
         index.verify_collection(candidates)
         cascade = index.searcher(runtime=rt)
     else:
-        cascade = CascadeBatch(
-            candidates, band_cells_, use_improved=False, best_first=False,
-            runtime=rt,
-        )
+        cascade = CascadeBatch(candidates, band_cells_, runtime=rt)
     hit = cascade.nearest(query)
     return NnResult(
         hit.index, hit.distance, strategy,

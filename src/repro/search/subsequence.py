@@ -126,12 +126,13 @@ def subsequence_search(
         by ``repro.index`` with the same ``band``/``step``/
         ``normalize``); must prove by content fingerprint that it
         describes exactly this stream.  The indexed scan serves the
-        precomputed z-normalised windows and envelopes, orders them
-        best-first and runs the LB_Improved stage -- all lossless, so
-        ``start`` and ``distance`` are bit-identical to the serial
-        index-free scan.  The indexed path is sequential (it *is* the
-        pruned cascade), so a parallel runtime contributes only its
-        backend.
+        precomputed z-normalised windows and envelopes and, since it
+        holds them, scans them best-first by LB_Kim, where the
+        index-free scan reads the windows once in stream order --
+        both lossless, so ``start`` and ``distance`` are bit-identical
+        to the serial index-free scan.  The indexed path is
+        sequential (it *is* the pruned cascade), so a parallel
+        runtime contributes only its backend.
 
     Returns
     -------
@@ -199,10 +200,10 @@ def subsequence_search_topk(
 
     ``index`` accepts an ahead-of-time index of this stream's windows
     (as in :func:`subsequence_search`): the scan then reuses the
-    stored windows and envelopes and adds the LB_Improved stage.  Any
-    bound only ever drops windows whose exact distance exceeds the
-    current heap threshold -- windows the selection below could never
-    choose -- so the returned offsets and distances are identical.
+    stored windows and envelopes.  Any bound only ever drops windows
+    whose exact distance exceeds the current heap threshold -- windows
+    the selection below could never choose -- so the returned offsets
+    and distances are identical.
 
     Returns at most ``k`` matches, best first; fewer if the exclusion
     zone exhausts the stream.
@@ -244,13 +245,11 @@ def subsequence_search_topk(
 
 def _cascade(index, windows: _Windows, band: int, rt: Runtime):
     """The scan's cascade: the verified index's searcher (stored
-    windows and envelopes, best-first, LB_Improved), else the in-order
-    cascade over the stream's windows as a view."""
+    windows and envelopes, held, so scanned best-first), else the
+    cascade over the stream's windows as a view, scanned in stream
+    order."""
     if index is None:
-        return CascadeBatch(
-            windows, band, use_improved=False, best_first=False,
-            runtime=rt,
-        )
+        return CascadeBatch(windows, band, runtime=rt)
     index.require(
         kind="windows", band=band, window=windows.m,
         step=windows.starts.step, normalize=windows.normalize,

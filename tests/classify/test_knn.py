@@ -3,7 +3,9 @@
 import pytest
 
 from repro.classify.knn import DistanceSpec, OneNearestNeighbor
+from repro.core.window import band_from_fraction
 from repro.datasets.gestures import gesture_dataset
+from repro.index import build_index
 from tests.conftest import make_series
 
 
@@ -108,6 +110,47 @@ class TestClassifier:
         clf.fit(series, labels)
         clf.predict_one([0.0] * 10)
         assert clf.cells_evaluated > 0
+
+
+class TestExcludeValidation:
+    """``predict_one(exclude=)`` takes a training index or ``None`` on
+    every route: anything else is a ``ValueError``, never an
+    ``IndexError`` from the cascade or an exclusion that silently
+    drops nothing."""
+
+    SERIES = [make_series(10, seed) for seed in range(6)]
+    LABELS = ["a", "b", "c", "d", "e", "f"]
+    ROUTES = ("full-scan", "cascade", "indexed")
+
+    def classifier(self, route):
+        spec = DistanceSpec(
+            "cdtw", window=0.2, use_lower_bounds=route != "full-scan",
+        )
+        index = (
+            build_index(self.SERIES, band_from_fraction(0.2, 10))
+            if route == "indexed" else None
+        )
+        return OneNearestNeighbor(spec, index=index).fit(
+            self.SERIES, self.LABELS
+        )
+
+    @pytest.mark.parametrize("exclude", [6, 99, -1])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_out_of_range_rejected(self, route, exclude):
+        clf = self.classifier(route)
+        with pytest.raises(ValueError, match="exclude"):
+            clf.predict_one(self.SERIES[0], exclude=exclude)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_last_index_excludes_the_query_copy(self, route):
+        # the query is training series 5: excluded, its own label
+        # cannot win at distance 0, and every route agrees
+        want = self.classifier("full-scan").predict_one(
+            self.SERIES[5], exclude=5
+        )
+        assert want != "f"
+        got = self.classifier(route).predict_one(self.SERIES[5], exclude=5)
+        assert got == want
 
 
 class TestWindowBuiltOnce:

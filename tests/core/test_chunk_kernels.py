@@ -329,10 +329,10 @@ class TestLbKeoghChunkParity:
 class TestKernelSetContract:
     """Both backends expose the chunk kernels under one contract."""
 
-    def test_six_fields(self):
+    def test_five_fields(self):
         assert [f.name for f in dataclasses.fields(KernelSet)] == [
             "name", "lb_kim", "dtw_chunk", "envelope_chunk",
-            "lb_keogh_chunk", "lb_improved_chunk",
+            "lb_keogh_chunk",
         ]
 
     @pytest.mark.parametrize("cost", ("squared", "abs"))

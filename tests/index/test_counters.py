@@ -32,7 +32,6 @@ WINDOW = 12
 INDEX_COUNTERS = (
     "index.hits",
     "index.artifacts_reused",
-    "index.lb_improved_prunes",
     "index.reused_exact",
 )
 
@@ -62,12 +61,10 @@ def _snapshot(trace):
 def _loocv_counters(rt):
     idx = build_index(CANDS, band=BAND)
     searcher = idx.searcher(runtime=rt, share_exact=True)
-    stats_totals = {"pruned_improved": 0, "reused_exact": 0,
-                    "artifacts": 0}
+    stats_totals = {"reused_exact": 0, "artifacts": 0}
     with RunTrace() as trace:
         for i, q in enumerate(CANDS):
             hit = searcher.nearest(q, exclude=i, query_index=i)
-            stats_totals["pruned_improved"] += hit.stats.pruned_improved
             stats_totals["reused_exact"] += hit.stats.reused_exact
             stats_totals["artifacts"] += hit.artifacts_reused
     return _snapshot(trace), stats_totals
@@ -80,10 +77,6 @@ class TestCountersReconcile:
         )
         assert counters["index.hits"] == len(CANDS)
         assert counters["index.artifacts_reused"] == totals["artifacts"]
-        assert (
-            counters["index.lb_improved_prunes"]
-            == totals["pruned_improved"]
-        )
         assert counters["index.reused_exact"] == totals["reused_exact"]
         # the workload actually exercises the counters it checks
         assert totals["artifacts"] > 0
@@ -182,13 +175,13 @@ class TestNnStatsParity:
         )
 
 
-LOOCV_SCANS = ("unindexed", "indexed_keogh", "indexed_improved")
+LOOCV_SCANS = ("index_free", "indexed")
 
 
 @lru_cache(maxsize=None)
 def _pruning_loocv(backend):
-    """Neighbours and summed cascade stats of three scans over the
-    synthetic archive's leave-one-out 1-NN."""
+    """Neighbours and summed cascade stats of the index-free and the
+    indexed scan over the synthetic archive's leave-one-out 1-NN."""
     rt = Runtime(backend=backend)
     totals = {label: CascadeStats() for label in LOOCV_SCANS}
     winners = {label: [] for label in LOOCV_SCANS}
@@ -200,15 +193,8 @@ def _pruning_loocv(backend):
         band = ceil(0.1 * len(series[0]))
         idx = build_index(series, band, runtime=rt)
         scans = {
-            "unindexed": CascadeBatch(
-                series, band, use_improved=False, best_first=False,
-                runtime=rt,
-            ).nearest,
-            "indexed_keogh": CascadeBatch(
-                idx.candidate_series(), idx.band, use_improved=False,
-                runtime=rt, candidate_envelopes=idx.candidate_envelopes(),
-            ).nearest,
-            "indexed_improved": idx.searcher(runtime=rt).nearest,
+            "index_free": CascadeBatch(series, band, runtime=rt).nearest,
+            "indexed": idx.searcher(runtime=rt).nearest,
         }
         for label, nearest in scans.items():
             for i, q in enumerate(series):
@@ -235,36 +221,30 @@ def pruning(request):
 
 
 class TestPruningPower:
-    """What the index buys on the synthetic archive's LOOCV 1-NN (3
+    """What the index changes on the synthetic archive's LOOCV 1-NN (3
     datasets, length 40-72, 3 classes x 5 series, window 0.1, seed 0).
 
-    Three scans must return the same neighbour for every query: the
-    index-free in-order scan, the index's envelopes scanned best-first
-    with LB_Keogh alone, and the searcher (LB_Improved on top).  Each
-    step must make strictly fewer DTW calls than the one before; the
-    counts are pinned exactly.
+    An index only serves stored envelopes, so the index-free and the
+    indexed scan return the same neighbour for every query and do the
+    same cascade work, stage by stage; the work is pinned exactly.
     """
 
-    def test_each_stage_prunes_more_with_the_same_answers(self, pruning):
-        totals, winners = pruning
-        assert len(winners["unindexed"]) == 45
-        assert winners["indexed_keogh"] == winners["unindexed"]
-        assert winners["indexed_improved"] == winners["unindexed"]
-        calls = [_dtw_calls(totals[label]) for label in LOOCV_SCANS]
-        assert calls[0] > calls[1] > calls[2]
+    def test_same_answers_with_and_without_the_index(self, pruning):
+        _, winners = pruning
+        assert len(winners["index_free"]) == 45
+        assert winners["indexed"] == winners["index_free"]
 
-    def test_dtw_calls_are_pinned(self, pruning):
+    def test_same_work_with_and_without_the_index(self, pruning):
+        totals, _ = pruning
+        assert totals["indexed"] == totals["index_free"]
+
+    def test_dtw_calls_and_cells_are_pinned(self, pruning):
         totals, _ = pruning
         assert {
-            label: _dtw_calls(s) for label, s in totals.items()
+            label: (_dtw_calls(s), s.cells) for label, s in totals.items()
         } == {
-            "unindexed": 343, "indexed_keogh": 240, "indexed_improved": 224,
+            "index_free": (240, 123_199), "indexed": (240, 123_199),
         }
-
-    def test_each_stage_evaluates_fewer_cells(self, pruning):
-        totals, _ = pruning
-        cells = [totals[label].cells for label in LOOCV_SCANS]
-        assert cells[0] > cells[1] > cells[2]
 
     def test_every_candidate_is_accounted_for(self, pruning):
         # 45 queries, each against the 14 other series of its dataset
@@ -274,21 +254,6 @@ class TestPruningPower:
             assert s.pruned_total() + s.full_dtw + s.reused_exact == (
                 s.candidates
             )
-
-    def test_lb_improved_runs_only_in_the_searcher(self, pruning):
-        totals, _ = pruning
-        assert totals["unindexed"].pruned_improved == 0
-        assert totals["indexed_keogh"].pruned_improved == 0
-        assert totals["indexed_improved"].pruned_improved > 0
-
-    def test_lb_improved_leaves_the_earlier_stages_alone(self, pruning):
-        # LB_Improved sits after LB_Kim and LB_Keogh: adding it changes
-        # what reaches the DP, never what the cheaper stages see
-        totals, _ = pruning
-        keogh, improved = totals["indexed_keogh"], totals["indexed_improved"]
-        assert improved.pruned_kim == keogh.pruned_kim
-        assert improved.pruned_keogh == keogh.pruned_keogh
-        assert improved.full_dtw == keogh.full_dtw
 
     def test_backends_agree(self):
         pytest.importorskip("numpy")

@@ -9,32 +9,25 @@ from repro.lowerbounds.cascade import CascadeBatch, CascadeStats
 from tests.conftest import make_series
 
 
-def plain(candidates, band, **flags):
-    """The classic in-order cascade: no LB_Improved, no reordering."""
-    return CascadeBatch(
-        candidates, band, use_improved=False, best_first=False, **flags
-    )
-
-
 class TestCascadeDistance:
     def test_exact_when_not_pruned(self):
         q = make_series(20, 1)
         c = make_series(20, 2)
-        scan = plain([c], band=3).scan(q)
+        scan = CascadeBatch([c], band=3).scan(q)
         d = scan.distance(0)  # best_so_far = inf, nothing prunes
         assert d == pytest.approx(cdtw(q, c, band=3).distance)
 
     def test_pruned_returns_inf(self):
         q = [0.0] * 20
         c = [100.0] * 20
-        scan = plain([c], band=2).scan(q)
+        scan = CascadeBatch([c], band=2).scan(q)
         assert scan.distance(0, best_so_far=1.0) == math.inf
 
     def test_pruning_is_sound(self):
         # pruned candidates must truly exceed the threshold
         q = make_series(15, 3)
         cands = [make_series(15, seed + 2000) for seed in range(20)]
-        scan = plain(cands, band=2).scan(q)
+        scan = CascadeBatch(cands, band=2).scan(q)
         for j, c in enumerate(cands):
             true = cdtw(q, c, band=2).distance
             threshold = true * 0.9
@@ -43,18 +36,18 @@ class TestCascadeDistance:
                 assert true > threshold
 
     def test_length_mismatch_rejected(self):
-        batch = plain([[1.0]], band=1)
+        batch = CascadeBatch([[1.0]], band=1)
         with pytest.raises(ValueError):
             batch.scan([1.0, 2.0])
 
     def test_negative_band_rejected(self):
         with pytest.raises(ValueError):
-            plain([[1.0, 2.0]], band=-1)
+            CascadeBatch([[1.0, 2.0]], band=-1)
 
     def test_stats_accumulate(self):
         q = make_series(12, 5)
         cands = [make_series(12, seed + 3000) for seed in range(8)]
-        scan = plain(cands, band=1).scan(q)
+        scan = CascadeBatch(cands, band=1).scan(q)
         for j in range(len(cands)):
             scan.distance(j, best_so_far=0.01)
         s = scan.stats
@@ -63,7 +56,7 @@ class TestCascadeDistance:
 
     def test_cells_tracked(self):
         q = make_series(12, 6)
-        scan = plain([make_series(12, 7)], band=2).scan(q)
+        scan = CascadeBatch([make_series(12, 7)], band=2).scan(q)
         scan.distance(0)
         assert scan.stats.cells > 0
 
@@ -72,7 +65,7 @@ class TestCascadeNearest:
     def test_matches_brute_force(self):
         q = make_series(16, 11)
         candidates = [make_series(16, s + 100) for s in range(12)]
-        hit = plain(candidates, band=2).nearest(q)
+        hit = CascadeBatch(candidates, band=2).nearest(q)
 
         brute = min(
             range(12), key=lambda i: cdtw(q, candidates[i], band=2).distance
@@ -84,7 +77,7 @@ class TestCascadeNearest:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            plain([], band=0)
+            CascadeBatch([], band=0)
 
     def test_prunes_most_on_easy_workload(self):
         # one near-identical candidate among far-away ones: after the
@@ -92,7 +85,7 @@ class TestCascadeNearest:
         q = make_series(24, 13)
         near = [v + 0.01 for v in q]
         far = [[v + 50.0 for v in make_series(24, s)] for s in range(20)]
-        hit = plain([near] + far, band=2).nearest(q)
+        hit = CascadeBatch([near] + far, band=2).nearest(q)
         assert hit.index == 0
         assert hit.stats.prune_rate() > 0.5
 
@@ -100,10 +93,3 @@ class TestCascadeNearest:
 class TestCascadeStats:
     def test_prune_rate_empty(self):
         assert CascadeStats().prune_rate() == 0.0
-
-    def test_without_reversed_stage(self):
-        q = make_series(14, 15)
-        scan = plain([make_series(14, 16)], band=1, use_reversed=False).scan(q)
-        d = scan.distance(0)
-        assert math.isfinite(d)
-        assert scan.stats.pruned_keogh_reversed == 0

@@ -1,10 +1,10 @@
-"""LB_Improved: admissibility, dominance, and chunk-kernel parity.
+"""LB_Improved: admissibility and dominance.
 
-Lemire's two-pass bound is the new cascade stage the ahead-of-time
-index enables by default, so its contract gets the same adversarial
-coverage as the older bounds: property-tested ``<= cDTW``, provably
-``>= LB_Keogh``, and the stacked chunk kernel bit-identical to the
-scalar on every backend (values *and* abandon decisions).
+Lemire's two-pass bound is an exported library function (the cascade
+does not run it: on the benchmark workloads it cost more than the DPs
+it pruned), so its contract gets the same adversarial coverage as the
+cascade's bounds: property-tested ``<= cDTW`` and provably
+``>= LB_Keogh``.
 """
 
 import math
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cdtw import cdtw
-from repro.core.kernels import get_kernels
 from repro.lowerbounds.envelope import Envelope, envelope
 from repro.lowerbounds.lb_improved import clip_to_envelope, lb_improved
 from repro.lowerbounds.lb_keogh import lb_keogh
@@ -148,94 +147,3 @@ class TestScalarSemantics:
             lb_improved(x, x, 2, query_envelope=envelope(x, 3))
         with pytest.raises(ValueError, match="query_envelope"):
             lb_improved(x, x, 2, query_envelope=envelope(x[:5], 2))
-
-
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-class TestChunkKernelParity:
-    """``lb_improved_chunk`` must be bit-identical to the scalar."""
-
-    def _kernels(self, backend):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
-        return get_kernels(backend)
-
-    def test_stack_matches_scalar(self, backend):
-        k = self._kernels(backend)
-        q = make_series(24, seed=20)
-        cands = [make_series(24, seed=21 + i) for i in range(6)]
-        band = 3
-        env = envelope(q, band)
-        got = k.lb_improved_chunk(env.upper, env.lower, cands, q, band)
-        want = [
-            lb_improved(q, c, band, query_envelope=env) for c in cands
-        ]
-        assert [float(v) for v in got] == want
-
-    def test_precomputed_keogh_reused(self, backend):
-        k = self._kernels(backend)
-        q = make_series(20, seed=30)
-        cands = [make_series(20, seed=31 + i) for i in range(4)]
-        band = 2
-        env = envelope(q, band)
-        keoghs = [lb_keogh(env, c) for c in cands]
-        got = k.lb_improved_chunk(
-            env.upper, env.lower, cands, q, band, keogh=keoghs
-        )
-        plain = k.lb_improved_chunk(env.upper, env.lower, cands, q, band)
-        assert [float(v) for v in got] == [float(v) for v in plain]
-
-    def test_abandon_decisions_match_scalar(self, backend):
-        k = self._kernels(backend)
-        q = make_series(24, seed=40)
-        cands = [make_series(24, seed=41 + i) for i in range(8)]
-        band = 2
-        env = envelope(q, band)
-        full = [lb_improved(q, c, band, query_envelope=env) for c in cands]
-        threshold = sorted(full)[len(full) // 2]
-        got = k.lb_improved_chunk(
-            env.upper, env.lower, cands, q, band,
-            abandon_above=threshold,
-        )
-        want = [
-            lb_improved(
-                q, c, band, query_envelope=env, abandon_above=threshold
-            )
-            for c in cands
-        ]
-        assert [float(v) for v in got] == want
-        assert math.inf in want  # the threshold actually bites
-
-    def test_count_drops_pad_rows(self, backend):
-        k = self._kernels(backend)
-        q = make_series(16, seed=50)
-        real = [make_series(16, seed=51 + i) for i in range(3)]
-        padded = real + [[0.0] * 16]
-        band = 2
-        env = envelope(q, band)
-        got = k.lb_improved_chunk(
-            env.upper, env.lower, padded, q, band, count=3
-        )
-        assert len(got) == 3
-        assert [float(v) for v in got] == [
-            lb_improved(q, c, band, query_envelope=env) for c in real
-        ]
-
-    def test_per_row_envelope_stacks(self, backend):
-        # 2-D envelope stacks: row t is candidate t's own envelope
-        k = self._kernels(backend)
-        q = make_series(18, seed=60)
-        cands = [make_series(18, seed=61 + i) for i in range(3)]
-        band = 2
-        envs = [
-            envelope(make_series(18, seed=70 + i), band)
-            for i in range(3)
-        ]
-        got = k.lb_improved_chunk(
-            [e.upper for e in envs], [e.lower for e in envs],
-            cands, q, band,
-        )
-        want = [
-            lb_improved(q, c, band, query_envelope=e)
-            for c, e in zip(cands, envs)
-        ]
-        assert [float(v) for v in got] == want

@@ -223,9 +223,7 @@ class TestSingleCallParity:
     def test_cascade_counters_match_stats(self):
         query = make_series(48, 7)
         candidates = [make_series(48, s + 30) for s in range(8)]
-        cascade = CascadeBatch(
-            candidates, 4, use_improved=False, best_first=False,
-        )
+        cascade = CascadeBatch(candidates, 4)
         with RunTrace() as trace:
             stats = cascade.nearest(query).stats
         assert trace.counter("lb.candidates") == stats.candidates
@@ -375,23 +373,27 @@ class TestCascadeChunkPrefilterParity:
         candidates = [make_series(40, s + 71) for s in range(12)]
         return query, candidates
 
-    def cascade(self, candidates, backend, use_reversed=False):
-        from repro.runtime import Runtime
-
-        return CascadeBatch(
-            candidates, 3, use_reversed=use_reversed, use_improved=False,
-            best_first=False, runtime=Runtime(backend=backend),
+    @staticmethod
+    def logical_invocations(stats):
+        """One kim per candidate, one keogh per kim survivor and one
+        reversed keogh per keogh survivor."""
+        kim_survivors = stats.candidates - stats.pruned_kim
+        return (
+            stats.candidates + kim_survivors
+            + (kim_survivors - stats.pruned_keogh)
         )
 
-    @pytest.mark.parametrize("use_reversed", [False, True])
-    def test_stats_identical_across_backends(self, use_reversed):
+    def cascade(self, candidates, backend):
+        from repro.runtime import Runtime
+
+        return CascadeBatch(candidates, 3, runtime=Runtime(backend=backend))
+
+    def test_stats_identical_across_backends(self):
         pytest.importorskip("numpy")
         query, candidates = self.workload()
         outcomes = {}
         for backend in BACKENDS:
-            hit = self.cascade(candidates, backend, use_reversed).nearest(
-                query
-            )
+            hit = self.cascade(candidates, backend).nearest(query)
             outcomes[backend] = (hit.index, float(hit.distance), hit.stats)
         assert outcomes["python"] == outcomes["numpy"]
 
@@ -404,17 +406,21 @@ class TestCascadeChunkPrefilterParity:
         assert trace.counter("lb.candidates") == stats.candidates
         assert trace.counter("lb.pruned_kim") == stats.pruned_kim
         assert trace.counter("lb.pruned_keogh") == stats.pruned_keogh
+        assert (
+            trace.counter("lb.pruned_keogh_reversed")
+            == stats.pruned_keogh_reversed
+        )
         assert trace.counter("lb.abandoned_dtw") == stats.abandoned_dtw
         assert trace.counter("lb.full_dtw") == stats.full_dtw
         assert trace.counter("dp.cells") == stats.cells
         # one stacked kernel call each for the kim and keogh bounds
         assert trace.counter("lb.chunk_prefilter") == 2
         # lb.invocations counts logical stage evaluations in replay
-        # order: one kim per candidate plus one keogh per kim survivor
-        expected = stats.candidates + (
-            stats.candidates - stats.pruned_kim
+        # order, whether or not a prefilter computed them up front
+        assert (
+            trace.counter("lb.invocations")
+            == self.logical_invocations(stats)
         )
-        assert trace.counter("lb.invocations") == expected
 
     def test_python_prefilter_is_scalar_and_uncounted(self):
         query, candidates = self.workload()
@@ -422,5 +428,7 @@ class TestCascadeChunkPrefilterParity:
         with RunTrace() as trace:
             stats = cascade.nearest(query).stats
         assert trace.counter("lb.chunk_prefilter") == 0
-        expected = stats.candidates + (stats.candidates - stats.pruned_kim)
-        assert trace.counter("lb.invocations") == expected
+        assert (
+            trace.counter("lb.invocations")
+            == self.logical_invocations(stats)
+        )

@@ -13,8 +13,9 @@ engine's own ``batch_distances(..., workers=)`` and the spec-level
 ``DistanceSpec(backend=)``.  Knobs the engine itself dropped are
 refused the same way: the chunk plan (``chunksize=``, on the batch
 entry points and ``Runtime``), the pool start method
-(``start_method=``, which belongs to ``BatchExecutor``) and
-``rle_dtw``'s kernel ``backend=``.
+(``start_method=``, which belongs to ``BatchExecutor``),
+``rle_dtw``'s kernel ``backend=`` and ``CascadeBatch``'s five stage
+and scan-order flags.
 """
 
 from __future__ import annotations
@@ -211,6 +212,13 @@ REMOVED_ENGINE_KWARGS = {
         lambda **kw: rle_dtw(SERIES[0], SERIES[1], **kw),
         "backend", "python",
     ),
+    # the cascade runs one stage list and picks its scan order from
+    # what it holds; its per-caller stage and order flags are gone
+    "CascadeBatch-squared": (run_cascade, "squared", True),
+    "CascadeBatch-use_reversed": (run_cascade, "use_reversed", False),
+    "CascadeBatch-use_cumulative": (run_cascade, "use_cumulative", False),
+    "CascadeBatch-use_improved": (run_cascade, "use_improved", True),
+    "CascadeBatch-best_first": (run_cascade, "best_first", False),
 }
 
 

@@ -207,35 +207,30 @@ class TestCumulativeAbandon:
 
 
 class TestCascadeWithCumulative:
+    """The cascade's exact stage runs the cumulative suffix bound; the
+    reference is the ``"cdtw"`` strategy's full scan."""
+
     def test_nearest_unchanged_by_cumulative_stage(self):
         from repro.lowerbounds.cascade import CascadeBatch
+        from repro.search.nn_search import nearest_neighbor
 
         query = make_series(24, 16)
         candidates = [make_series(24, s + 900) for s in range(12)]
-        with_cum = CascadeBatch(candidates, band=3, use_cumulative=True)
-        without = CascadeBatch(candidates, band=3, use_cumulative=False)
-        a, b = with_cum.nearest(query), without.nearest(query)
-        assert (a.index, a.distance) == pytest.approx((b.index, b.distance))
+        hit = CascadeBatch(candidates, band=3).nearest(query)
+        full = nearest_neighbor(query, candidates, "cdtw", band=3)
+        assert (hit.index, hit.distance) == (full.index, full.distance)
 
     def test_cumulative_stage_comparable_cell_work(self):
-        # per-call the suffix bound abandons no later in the *same*
-        # orientation (tested above); at cascade level the orientations
-        # differ (the cumulative stage scans candidate rows against the
-        # precomputed query envelope), so only comparable totals are
-        # guaranteed
         from repro.lowerbounds.cascade import CascadeBatch
+        from repro.search.nn_search import nearest_neighbor
 
         query = make_series(24, 17)
         candidates = [make_series(24, s + 950) for s in range(15)]
-        flags = dict(use_improved=False, best_first=False)
-        with_cum = CascadeBatch(
-            candidates, band=3, use_cumulative=True, **flags
-        ).nearest(query)
-        without = CascadeBatch(
-            candidates, band=3, use_cumulative=False, **flags
-        ).nearest(query)
-        assert with_cum.stats.cells <= without.stats.cells * 1.5
-        assert with_cum.stats.pruned_total() >= 1
+        hit = CascadeBatch(candidates, band=3).nearest(query)
+        full = nearest_neighbor(query, candidates, "cdtw", band=3)
+        assert hit.stats.cells < full.cells
+        assert hit.stats.abandoned_dtw >= 1
+        assert hit.stats.pruned_total() >= 1
 
 
 #: two z-normalised windows whose band-0 distances to a flat query
