@@ -10,8 +10,12 @@ computation: a DP over some :class:`~repro.core.window.Window` of the
 This module implements that DP once, in pure Python, with:
 
 * per-row ``(lo, hi)`` ranges so only admitted cells are touched,
-* inlined ``squared`` / ``abs`` local costs (callables also accepted),
-* optional path recovery by backtracking over retained rows,
+* one rolling row over absolute columns, updated in place (the
+  diagonal carried in a local), so a cell costs a few list reads and
+  writes and no per-row allocation,
+* inlined ``squared`` / ``abs`` local costs, one inner loop per cost
+  so nothing is dispatched per cell (callables also accepted),
+* optional path recovery by backtracking over retained row slices,
 * optional early abandoning against a threshold (used by
   :mod:`repro.search`), and
 * an exact count of evaluated cells, the benchmarks' cost model.
@@ -93,8 +97,9 @@ def dp_over_window(
     cost:
         Local cost: ``"squared"`` (default), ``"abs"`` or a callable.
     return_path:
-        If true, retain all DP rows and backtrack the optimal path
-        (memory O(cells) instead of O(width)).
+        If true, retain a copy of every DP row's range and backtrack
+        the optimal path (memory O(cells) instead of one length-``m``
+        row).
     abandon_above:
         If given, stop as soon as every cell of the current row exceeds
         this threshold; the result then has ``abandoned=True`` and
@@ -145,6 +150,18 @@ def _dp_over_window(
     :mod:`repro.obs` counters and span when a trace is active; this
     function is also the baseline the trace-overhead guard
     (:mod:`repro.obs.bench`) times the wrapper against.
+
+    One rolling row over absolute columns holds the DP: entering row
+    ``i``, ``row[j]`` is ``D(i-1, j)`` inside the previous row's range
+    and ``inf`` beyond its end (the window's ranges are monotone, so
+    no earlier row wrote there).  The one stale cell a row can read is
+    the one left of its range, whose previous-row value is the
+    diagonal of the row's first cell: it is taken into a local and
+    reset to ``inf``, so a next row starting at the same column sees
+    no diagonal there.  Each cell takes the first smallest of
+    ``(diagonal, vertical, horizontal)`` by strict ``<`` from ``inf``
+    -- NaN neighbours never win, ties go to the earlier move -- which
+    is the per-row-list loop this replaced, bit for bit.
     """
     n, m = len(x), len(y)
     if n == 0 or m == 0:
@@ -155,72 +172,87 @@ def _dp_over_window(
         )
 
     named = cost if isinstance(cost, str) else None
-    cost_fn = None if named in ("squared", "abs") else resolve_cost(cost)
+    local = resolve_cost(cost)
 
     ranges = window.ranges
     cells = 0
     rows: List[List[float]] = []  # retained only when return_path
-
-    prev: List[float] = []
-    prev_lo = prev_hi = 0
-    abandoned = False
+    row = [inf] * m
 
     for i in range(n):
         lo, hi = ranges[i]
-        width = hi - lo + 1
-        cur = [inf] * width
+        cells += hi - lo + 1
         xi = x[i]
-        cells += width
-
-        for j in range(lo, hi + 1):
+        if i == 0:
+            # horizontal moves only, from D(0, 0) = local(x[0], y[0])
+            acc = 0.0
+            for j in range(hi + 1):
+                acc = local(xi, y[j]) + acc
+                row[j] = acc
+        else:
+            if lo:
+                diag = row[lo - 1]
+                row[lo - 1] = inf
+            else:
+                diag = inf
+            left = inf
+            # one loop per local cost: nothing is dispatched per cell
             if named == "squared":
-                d = xi - y[j]
-                local = d * d
+                for j in range(lo, hi + 1):
+                    up = row[j]
+                    b = inf
+                    if diag < b:
+                        b = diag
+                    if up < b:
+                        b = up
+                    if left < b:
+                        b = left
+                    d = xi - y[j]
+                    left = d * d + b
+                    row[j] = left
+                    diag = up
             elif named == "abs":
-                local = abs(xi - y[j])
+                for j in range(lo, hi + 1):
+                    up = row[j]
+                    b = inf
+                    if diag < b:
+                        b = diag
+                    if up < b:
+                        b = up
+                    if left < b:
+                        b = left
+                    left = abs(xi - y[j]) + b
+                    row[j] = left
+                    diag = up
             else:
-                local = cost_fn(xi, y[j])
-
-            if i == 0:
-                if j == 0:
-                    best = 0.0
-                else:
-                    best = cur[j - 1 - lo]  # horizontal only on row 0
-            else:
-                best = inf
-                jj = j - 1
-                if prev_lo <= jj <= prev_hi:  # diagonal
-                    v = prev[jj - prev_lo]
-                    if v < best:
-                        best = v
-                if prev_lo <= j <= prev_hi:  # vertical
-                    v = prev[j - prev_lo]
-                    if v < best:
-                        best = v
-                if j > lo:  # horizontal
-                    v = cur[j - 1 - lo]
-                    if v < best:
-                        best = v
-            cur[j - lo] = local + best
+                for j in range(lo, hi + 1):
+                    c = local(xi, y[j])
+                    up = row[j]
+                    b = inf
+                    if diag < b:
+                        b = diag
+                    if up < b:
+                        b = up
+                    if left < b:
+                        b = left
+                    left = c + b
+                    row[j] = left
+                    diag = up
 
         if abandon_above is not None:
-            floor = min(cur)
+            floor = min(row[lo:hi + 1])
             if suffix_bound is not None:
                 floor += suffix_bound[i]
             if floor > abandon_above:
-                abandoned = True
-                break
+                return DtwResult(
+                    inf, None, cells, cost_name(cost), abandoned=True
+                )
 
         if return_path:
-            rows.append(cur)
-        prev, prev_lo, prev_hi = cur, lo, hi
+            rows.append(row[lo:hi + 1])
 
-    if abandoned:
-        return DtwResult(inf, None, cells, cost_name(cost), abandoned=True)
-
-    distance = prev[m - 1 - prev_lo]
     path = _backtrack(rows, ranges) if return_path else None
-    return DtwResult(distance, path, cells, cost_name(cost))
+    return DtwResult(row[m - 1], path, cells, cost_name(cost))
 
 
 def _backtrack(

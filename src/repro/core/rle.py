@@ -30,11 +30,17 @@ left entry at row ``a``.  The bottom row of a block therefore is, for
                 min_{a in [0..h-s]}        L[a] + c*(h-a),    # g3
                 c*s + min_{a >= max(0,h-s+1)} L[a] )          # g4
 
-computable in ``O(h + w)`` per block with a monotone deque (g1) and
-running prefix/suffix minima (g2-g4); the right column is the same
-computation with roles swapped.  The corner cell belongs to both; this
-implementation canonically assigns it the bottom-row expression so
-propagation is deterministic.
+computable in ``O(h + w)`` per block with running minima: while
+``s <= h``, g1 is a prefix minimum of ``T`` and g2 is empty; past it,
+g2 and g4 share ``c*s`` and fold into one running minimum, and g1's
+sliding window keeps a minimum that is rescanned only when its
+element has left *and* it could still beat g2/g4 (see ``_edge``).  The
+right column is the same sweep with roles swapped.  The corner cell
+belongs to both; this implementation canonically assigns it the
+bottom-row expression so propagation is deterministic.  Every term is
+evaluated in the same float operations as written above, so the
+sweep is bit-identical to evaluating the formula directly (the deque
+sweep it replaced is kept in the tests as the oracle).
 
 Exactness regime
 ----------------
@@ -55,7 +61,6 @@ uses.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import copysign, inf, isfinite
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -222,64 +227,100 @@ def rle_block_python(
     corner); ``c`` the block's local cost.  Returns ``(B, R)`` with
     ``B[s-1] = D(h, s)`` and ``R[r-1] = D(r, w)`` in block-relative
     coordinates.  The corner ``R[h-1]`` is canonically assigned
-    ``B[w-1]``.
+    ``B[w-1]``.  :func:`_rle_dp` runs the same two edge sweeps.
     """
-    B = _boundary_row(T, L, c, h, w)
-    R = _boundary_row(L, T, c, w, h)
-    R[h - 1] = B[w - 1]
+    B = _edge(T, L, c, h, w, T[0])[1:]
+    R = _edge(L, T, c, w, h - 1, L[0])[1:] if h > 1 else []
+    R.append(B[w - 1])
     return B, R
 
 
-def _boundary_row(
-    T: Sequence[float], L: Sequence[float], c: float, h: int, w: int
+def _edge(
+    T: Sequence[float], L: Sequence[float], c: float, h: int, count: int,
+    head: float,
 ) -> List[float]:
-    """``B[s-1] = min(g1, g2, g3, g4)`` per the module docstring."""
-    ch = c * h
-    # g3: prefix minima of L[a] + c*(h-a)
-    pp = [inf] * (h + 1)
-    best = inf
-    for a in range(h + 1):
+    """``[head, B[1], .., B[count]]``: the first ``count`` cells of the
+    bottom row of a height-``h`` block, ``B[s] = min(g1, g2, g3, g4)``
+    per the module docstring (``1 <= count``; the right column is the
+    same sweep with ``T`` and ``L`` swapped).
+
+    Every term is the docstring's expression, evaluated in the same
+    float operations as a direct evaluation would, so the result is
+    bit-identical to one; only which terms get evaluated is organised
+    for speed:
+
+    * ``g3`` reads prefix minima of ``L[a] + c*(h-a)`` at ``a = h-s``,
+      so it is filled in first, from ``s = min(count, h)`` down;
+    * while ``s <= h``, ``g1`` is a running prefix minimum of ``T``,
+      ``g4`` a running suffix minimum of ``L`` and ``g2`` is empty;
+    * past ``s = h``, ``g2`` and ``g4`` share ``c*s`` (rounding is
+      monotone, so ``min(c*s + u, c*s + v) == c*s + min(u, v)``) and
+      fold into one running minimum.  ``g1``'s window keeps a running
+      minimum that goes *stale* -- a lower bound, no longer the
+      window's minimum -- when its element leaves; a stale bound that
+      already loses to ``g2``/``g4`` decides the cell unchanged, and
+      the window is rescanned only when it could win.
+    """
+    k = count if count < h else h
+    out = [head] * (count + 1)
+    g3 = inf
+    for a in range(h - k + 1):
         v = L[a] + c * (h - a)
-        if v < best:
-            best = v
-        pp[a] = best
-    # g4: suffix minima of L
-    sl = [inf] * (h + 2)
-    for a in range(h, -1, -1):
-        la = L[a]
-        sl[a] = la if la < sl[a + 1] else sl[a + 1]
-    out = [inf] * w
-    dq = deque([0])  # g1 window indices, T-values increasing
-    g2min = inf  # exact prefix min of T[b] - c*b over b <= s-h-1
-    nxt = 0  # next index to fold into g2min
-    for s in range(1, w + 1):
-        hi_gone = s - h - 1
-        while nxt <= hi_gone:
-            v = T[nxt] - c * nxt
-            if v < g2min:
-                g2min = v
-            nxt += 1
-        lo_b = s - h
-        while dq and dq[0] < lo_b:
-            dq.popleft()
-        tb = T[s]
-        while dq and T[dq[-1]] >= tb:
-            dq.pop()
-        dq.append(s)
-        val = T[dq[0]] + ch
-        g2 = c * s + g2min
-        if g2 < val:
-            val = g2
-        if s <= h:
-            g3 = pp[h - s]
-            if g3 < val:
-                val = g3
-            g4 = c * s + sl[h - s + 1]
-        else:
-            g4 = c * s + sl[0]
-        if g4 < val:
-            val = g4
-        out[s - 1] = val
+        if v < g3:
+            g3 = v
+    out[k] = g3
+    for s in range(k - 1, 0, -1):
+        v = L[h - s] + c * s
+        if v < g3:
+            g3 = v
+        out[s] = g3
+    ch = c * h
+    g1 = T[0]
+    g4 = inf
+    for s in range(1, k + 1):
+        v = T[s]
+        if v <= g1:
+            g1 = v
+        v = L[h - s + 1]
+        if v < g4:
+            g4 = v
+        val = g1 + ch
+        v = out[s]
+        if v < val:
+            val = v
+        v = c * s + g4
+        if v < val:
+            val = v
+        out[s] = val
+    if count > h:
+        v = L[0]
+        if v < g4:
+            g4 = v
+        low = g4  # min(L) and T[b] - c*b over b <= s-h-1
+        stale = False
+        for s in range(h + 1, count + 1):
+            b = s - h - 1
+            gone = T[b]
+            v = gone - c * b
+            if v < low:
+                low = v
+            v = T[s]
+            if v <= g1:
+                g1 = v
+                stale = False
+            elif gone == g1:
+                stale = True
+            val = c * s + low
+            if stale:
+                if val <= g1 + ch:
+                    out[s] = val
+                    continue
+                g1 = min(T[b + 1:s + 1])
+                stale = False
+            v = g1 + ch
+            if v <= val:
+                val = v
+            out[s] = val
     return out
 
 
@@ -297,41 +338,45 @@ def _rle_dp(
     ``row_bound`` carries ``D(row-1, col)`` for ``col = -1..m-1``
     across block rows (index 0 is the virtual column ``-1``:
     ``D(-1,-1) = 0``, everything else ``inf`` -- exactly the dense
-    engine's implicit boundary).  ``blocks`` maps ``(p, q)`` to the
-    stored boundary state for path recovery.
+    engine's implicit boundary).  Each block's bottom row is written
+    into the next ``row_bound`` in place, and its right column becomes
+    the next block's left boundary as is; the last block column's
+    right column feeds nothing (path recovery reads only each block's
+    incoming boundaries), so it is never computed.  ``blocks`` maps
+    ``(p, q)`` to the stored boundary state for path recovery.
     """
     xv, xl = rx.values, rx.lengths
     yv, yl = ry.values, ry.lengths
-    k, l = len(xv), len(yv)
+    last = len(yv) - 1
     m = ry.n
     row_bound: List[float] = [0.0] + [inf] * m
     cells = 0
     blocks: Optional[Dict] = {} if keep_blocks else None
     top = 0
-    for p in range(k):
-        h = xl[p]
-        vp = xv[p]
+    for p, (vp, h) in enumerate(zip(xv, xl)):
         new_row: List[float] = [inf] * (m + 1)
-        L: List[float] = []
+        L: List[float] = [row_bound[0]] + [inf] * h
         left = 0
-        for q in range(l):
-            w = yl[q]
-            c = cost_fn(vp, yv[q])
+        for q, (vq, w) in enumerate(zip(yv, yl)):
+            c = cost_fn(vp, vq)
             if not c >= 0.0:  # catches negatives and NaN
                 raise ValueError(
                     "rle measures require finite non-negative local "
                     f"costs, got {c!r}"
                 )
-            T = row_bound[left:left + w + 1]
-            if q == 0:
-                L = [row_bound[0]] + [inf] * h
-            B, R = rle_block_python(T, L, c, h, w)
+            right = left + w
+            T = row_bound[left:right + 1]
+            # slot 0 rewrites D(bottom, left - 1) with itself
+            new_row[left:right + 1] = _edge(T, L, c, h, w, new_row[left])
             cells += h + w
             if keep_blocks:
                 blocks[(p, q)] = (T, L, c, h, w, top, left)
-            new_row[left + 1:left + w + 1] = B
-            L = [T[w]] + R
-            left += w
+            if q < last:
+                # the corner T[w] heads the next left boundary; its
+                # last cell is canonically the bottom row's
+                L = _edge(L, T, c, w, h - 1, T[w]) if h > 1 else [T[w]]
+                L.append(new_row[right])
+            left = right
         row_bound = new_row
         top += h
     return row_bound[m], cells, blocks

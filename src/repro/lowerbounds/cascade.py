@@ -32,7 +32,7 @@ the dependent DP as the exact stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import inf
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -161,6 +161,40 @@ def _pick_stages(band, dims, rt) -> _Stages:
     )
 
 
+#: the :class:`CascadeStats` outcomes reported as ``lb.<name>`` counters
+_OUTCOMES = (
+    "pruned_kim", "pruned_keogh", "pruned_keogh_reversed",
+    "abandoned_dtw", "full_dtw", "reused_exact",
+)
+
+
+def _record(stats: CascadeStats, since: Optional[CascadeStats] = None):
+    """Report the ``lb.*`` counters of the candidates ``stats`` counted
+    (less those already counted in ``since``) to the active trace.
+
+    ``lb.invocations`` follows from the outcomes: every candidate that
+    was not reused ran LB_Kim, the ones it kept ran LB_Keogh, and the
+    ones that kept ran the reversed LB_Keogh.
+    """
+    trace = _obs.active_trace()
+    if trace is None:
+        return
+    since = since or CascadeStats()
+    delta = {
+        name: getattr(stats, name) - getattr(since, name)
+        for name in ("candidates",) + _OUTCOMES
+    }
+    delta["invocations"] = (
+        delta["pruned_kim"] + 2 * delta["pruned_keogh"] + 3 * (
+            delta["pruned_keogh_reversed"] + delta["abandoned_dtw"]
+            + delta["full_dtw"]
+        )
+    )
+    for name, n in delta.items():
+        if n:
+            trace.incr("lb." + name, n)
+
+
 class CascadeScan:
     """One query's pruned distances to a batch's candidates, on demand.
 
@@ -199,8 +233,16 @@ class CascadeScan:
 
     def distance(self, index: int, best_so_far: float = inf) -> float:
         """cDTW(query, candidate ``index``), or ``inf`` if it provably
-        exceeds ``best_so_far``."""
-        return self._evaluate(index, best_so_far)
+        exceeds ``best_so_far``.  Traced, each call is one
+        ``lb_cascade`` span and reports its own ``lb.*`` counters:
+        callers run their own work between calls."""
+        if _obs.active_trace() is None:
+            return self._stages(index, best_so_far, None, None)
+        before = replace(self.stats)
+        with _obs.span("lb_cascade"):
+            d = self._stages(index, best_so_far, None, None)
+        _record(self.stats, before)
+        return d
 
     def close(self) -> None:
         """Run the ``on_close`` hook (idempotent)."""
@@ -216,58 +258,47 @@ class CascadeScan:
 
     # -- the stage list ------------------------------------------------------
 
-    def _evaluate(self, j, best, kim=None, keogh=None) -> float:
-        if _obs.active_trace() is None:
-            return self._stages(j, best, kim, keogh)
-        with _obs.span("lb_cascade"):
-            return self._stages(j, best, kim, keogh)
-
     def _stages(self, j, best, kim, keogh) -> float:
-        """Run candidate ``j`` down the cascade.
+        """Run candidate ``j`` down the cascade, counting its outcome in
+        ``stats`` (callers report the counts to the trace).
 
         ``kim``/``keogh`` replay full (no-abandon) bounds computed up
-        front by :meth:`CascadeBatch.nearest`'s prefilter.  Decisions
-        are identical either way: gap costs are non-negative, so an
-        abandoning bound crosses the threshold exactly when its full
-        value exceeds it.  A bound prunes only past ``best`` plus the
-        batch's rounding allowance, so a candidate whose distance
-        equals ``best`` always reaches the exact stage.
+        front by :meth:`CascadeBatch.nearest`.  Decisions are identical
+        either way: gap costs are non-negative, so an abandoning bound
+        crosses the threshold exactly when its full value exceeds it.
+        A bound prunes only past ``best`` plus the batch's rounding
+        allowance, so a candidate whose distance equals ``best`` always
+        reaches the exact stage.
         """
-        batch, stages = self._batch, self._batch._stages
+        batch, stages, stats = self._batch, self._batch._stages, self.stats
         limit = best + best * batch._rounding
-        self.stats.candidates += 1
-        _obs.incr("lb.candidates")
+        stats.candidates += 1
         cand = batch.candidates[j]
-        _obs.incr("lb.invocations")
         if kim is None:
             kim = stages.kim(self.query, cand)
         if kim > limit:
-            return self._pruned("pruned_kim")
-        _obs.incr("lb.invocations")
+            stats.pruned_kim += 1
+            return inf
         lb = keogh if keogh is not None else stages.keogh(
             self.envelope, cand, limit
         )
         if lb > limit:
-            return self._pruned("pruned_keogh")
-        _obs.incr("lb.invocations")
+            stats.pruned_keogh += 1
+            return inf
         env = (
             stages.envelope(cand) if batch._envelopes is None
             else self._envelope_of(j)
         )
         if stages.keogh(env, self.query, limit) > limit:
-            return self._pruned("pruned_keogh_reversed")
+            stats.pruned_keogh_reversed += 1
+            return inf
         result = stages.exact(self.query, self.envelope, cand, best)
-        self.stats.cells += result.cells
+        stats.cells += result.cells
         if result.abandoned:
-            return self._pruned("abandoned_dtw")
-        self.stats.full_dtw += 1
-        _obs.incr("lb.full_dtw")
+            stats.abandoned_dtw += 1
+            return inf
+        stats.full_dtw += 1
         return result.distance
-
-    def _pruned(self, stage: str) -> float:
-        setattr(self.stats, stage, getattr(self.stats, stage) + 1)
-        _obs.incr("lb." + stage)
-        return inf
 
     def _envelope_of(self, j):
         """Candidate ``j``'s envelope, from the batch's store."""
@@ -495,26 +526,28 @@ class CascadeBatch:
                 if d < best or (d == best and (best_idx < 0 or j < best_idx)):
                     best, best_idx = d, j
 
-        for j in order:
-            d = known.get(j) if known is not None else None
-            if d is not None:
-                scan.stats.candidates += 1
-                scan.stats.reused_exact += 1
-                _obs.incr("lb.candidates")
-                _obs.incr("lb.reused_exact")
-            else:
-                d = scan._evaluate(
-                    j, best,
-                    None if kims is None else kims[j],
-                    None if keoghs is None else keoghs[j],
-                )
-                if d != inf and known is not None:
-                    known[j] = d
-                    self._cache.setdefault(j, {})[query_index] = d
-            # smallest original index among the equally nearest: the
-            # first-wins winner of the in-order serial scan
-            if d < best or (d == best and (best_idx < 0 or j < best_idx)):
-                best, best_idx = d, j
+        with _obs.span("lb_cascade"):
+            for j in order:
+                d = known.get(j) if known is not None else None
+                if d is not None:
+                    scan.stats.candidates += 1
+                    scan.stats.reused_exact += 1
+                else:
+                    d = scan._stages(
+                        j, best,
+                        None if kims is None else kims[j],
+                        None if keoghs is None else keoghs[j],
+                    )
+                    if d != inf and known is not None:
+                        known[j] = d
+                        self._cache.setdefault(j, {})[query_index] = d
+                # smallest original index among the equally nearest:
+                # the first-wins winner of the in-order serial scan
+                if d < best or (
+                    d == best and (best_idx < 0 or j < best_idx)
+                ):
+                    best, best_idx = d, j
+        _record(scan.stats)
         if best_idx < 0:
             # all infinite distances (possible only with inf inputs);
             # fall back to the first admissible candidate

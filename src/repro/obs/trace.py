@@ -87,6 +87,11 @@ Span schema: a flat map of slash-joined paths to ``(count, seconds)``
 pairs.  The built-in hooks emit ``dp`` (every windowed DP), ``fastdtw``
 with children ``coarsen``/``window``/``dp``, ``lb_cascade``, ``nn_search``
 and ``knn``; nesting under caller spans composes naturally.
+``lb_cascade`` is one span per ``CascadeBatch.nearest`` (its whole
+scan loop) and one per ``CascadeScan.distance`` call; the exact
+stage's DPs nest under it as ``lb_cascade/dp``.  The cascade reports
+its ``lb.*`` counters once per ``nearest`` and once per ``distance``
+call, with the same totals as one report per candidate.
 """
 
 from __future__ import annotations

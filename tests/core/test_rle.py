@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from functools import lru_cache
 from math import inf
 
@@ -309,6 +310,95 @@ class TestBlockKernel:
             L = [corner] + [entry() for _ in range(h)]
             c = rng.randrange(0, 512) * GRID  # zero cost included
             assert rle_block_python(T, L, c, h, w) == dense_block(
+                T, L, c, h, w
+            ), (T, L, c, h, w)
+
+
+def reference_boundary_row(T, L, c, h, w):
+    """The block's bottom row by the sweep before the edge kernel: g1
+    over a monotone deque, g2-g4 over running minima (module docstring
+    terms), each evaluated directly."""
+    ch = c * h
+    pp = [inf] * (h + 1)
+    best = inf
+    for a in range(h + 1):
+        v = L[a] + c * (h - a)
+        if v < best:
+            best = v
+        pp[a] = best
+    sl = [inf] * (h + 2)
+    for a in range(h, -1, -1):
+        la = L[a]
+        sl[a] = la if la < sl[a + 1] else sl[a + 1]
+    out = [inf] * w
+    dq = deque([0])
+    g2min = inf
+    nxt = 0
+    for s in range(1, w + 1):
+        hi_gone = s - h - 1
+        while nxt <= hi_gone:
+            v = T[nxt] - c * nxt
+            if v < g2min:
+                g2min = v
+            nxt += 1
+        lo_b = s - h
+        while dq and dq[0] < lo_b:
+            dq.popleft()
+        tb = T[s]
+        while dq and T[dq[-1]] >= tb:
+            dq.pop()
+        dq.append(s)
+        val = T[dq[0]] + ch
+        g2 = c * s + g2min
+        if g2 < val:
+            val = g2
+        if s <= h:
+            g3 = pp[h - s]
+            if g3 < val:
+                val = g3
+            g4 = c * s + sl[h - s + 1]
+        else:
+            g4 = c * s + sl[0]
+        if g4 < val:
+            val = g4
+        out[s - 1] = val
+    return out
+
+
+def reference_block(T, L, c, h, w):
+    B = reference_boundary_row(T, L, c, h, w)
+    R = reference_boundary_row(L, T, c, w, h)
+    R[h - 1] = B[w - 1]
+    return B, R
+
+
+class TestBlockKernelOracle:
+    """The edge sweep against the deque sweep it replaced, kept above
+    as the oracle: every term is evaluated in the same float
+    operations, so the two agree bit for bit on and off the grid."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "floats"])
+    def test_matches_deque_sweep(self, seed, grid):
+        rng = random.Random(700 + seed)
+
+        def entry():
+            if rng.random() < 0.15:
+                return inf
+            if grid:
+                return rng.randrange(0, 4096) * GRID
+            return rng.uniform(0.0, 64.0)
+
+        for _ in range(250):
+            h, w = rng.randrange(1, 31), rng.randrange(1, 31)
+            corner = entry() if rng.random() < 0.9 else 0.0
+            T = [corner] + [entry() for _ in range(w)]
+            L = [corner] + [entry() for _ in range(h)]
+            c = rng.choice([
+                0.0, rng.randrange(0, 512) * GRID,
+                rng.randrange(0, 512) * GRID if grid else rng.uniform(0, 4),
+            ])
+            assert rle_block_python(T, L, c, h, w) == reference_block(
                 T, L, c, h, w
             ), (T, L, c, h, w)
 

@@ -401,18 +401,34 @@ class TestLazyArtifacts:
     def test_view_candidates_keep_nothing(self, envelope_builds):
         view = _CountingView(CANDS)
         batch = CascadeBatch(view, BAND, runtime=self.PY)
-        view.reads = 0
-        hits = [batch.nearest(QUERIES[0]) for _ in range(2)]
-        # each query reads every candidate once and rebuilds the
-        # envelopes it needs: nothing per candidate outlives a read
-        assert view.reads == 2 * len(CANDS)
-        assert len(envelope_builds) == 2 * (
-            1 + reached_reversed(hits[0].stats)
-        )
-        assert hits[0] == hits[1]
-        want = CascadeBatch(CANDS, BAND, runtime=self.PY).nearest(QUERIES[0])
-        assert (hits[0].index, hits[0].distance) == (want.index, want.distance)
-        assert astuple(hits[0].stats) == astuple(want.stats)
+        for query in QUERIES:
+            view.reads = 0
+            envelope_builds.clear()
+            hits = [batch.nearest(query) for _ in range(2)]
+            # each query reads every candidate once and rebuilds the
+            # envelopes it needs: nothing per candidate outlives a read
+            assert view.reads == 2 * len(CANDS)
+            assert len(envelope_builds) == 2 * (
+                1 + reached_reversed(hits[0].stats)
+            )
+            assert hits[0] == hits[1]
+            # a view is scanned in stream order: the same answer and
+            # work as an in-order scan with the running best
+            want = self.in_order_scan(query)
+            assert (hits[0].index, hits[0].distance) == want[:2]
+            assert astuple(hits[0].stats) == astuple(want[2])
+
+    def in_order_scan(self, query):
+        """``(index, distance, stats)`` of the held candidates scanned
+        in order through ``scan().distance`` with the running best."""
+        best, best_idx = inf, -1
+        batch = CascadeBatch(CANDS, BAND, runtime=self.PY)
+        with batch.scan(query) as scan:
+            for j in range(len(CANDS)):
+                d = scan.distance(j, best)
+                if d < best:
+                    best, best_idx = d, j
+        return best_idx, best, scan.stats
 
     def test_subsequence_search_reads_each_window_once(
         self, monkeypatch, envelope_builds
